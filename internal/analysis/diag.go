@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -218,51 +217,37 @@ func (da *DiagAccum) Counts() (a int, implied uint64) { return da.ac.a, da.ac.im
 // accumulation itself is left untouched and may still be merged.
 func (da *DiagAccum) Finish(rho float64) *Diag { return da.ac.finish(rho) }
 
-// MergeDiagAccums returns a new accumulation equivalent to accumulating
-// x's samples followed by y's. Neither input is modified. The result is
-// finish- and merge-only: records cannot be added to it.
+// MergeDiagAccums folds y into x in place and returns x, now equivalent
+// to accumulating x's samples followed by y's, under the given name.
+// The cost is O(y), however large x has grown, so folding windows one
+// by one stays linear. y is left unmodified. The result is finish- and
+// merge-only: records cannot be added to it.
 func MergeDiagAccums(name string, x, y *DiagAccum) *DiagAccum {
-	return &DiagAccum{ac: mergeAccums(name, x.ac, y.ac)}
+	x.ac.absorb(y.ac)
+	x.ac.name = name
+	return x
 }
 
-// mergeAccums merges two disjoint accumulations, a the earlier one.
-func mergeAccums(name string, a, b *accumulator) *accumulator {
-	m := &accumulator{
-		name:     name,
-		a:        a.a + b.a,
-		implied:  a.implied + b.implied,
-		sumD:     a.sumD + b.sumD,
-		reuses:   a.reuses + b.reuses,
-		dmax:     max(a.dmax, b.dmax),
-		constAcc: a.constAcc + b.constAcc,
+// absorb folds b, the later of two disjoint accumulations, into ac.
+// First touches in ac (the earlier window) take precedence, so b's
+// classes only fill addresses ac has not seen. The reuse stream is
+// dropped: intra-sample state means nothing across a merge.
+func (ac *accumulator) absorb(b *accumulator) {
+	ac.a += b.a
+	ac.implied += b.implied
+	ac.sumD += b.sumD
+	ac.reuses += b.reuses
+	ac.dmax = max(ac.dmax, b.dmax)
+	ac.constAcc += b.constAcc
+	ac.dist = nil
+	for addr, n := range b.counts {
+		ac.counts[addr] += n
 	}
-	// Clone the larger side (runtime-optimized) and fold in the smaller.
-	if len(a.counts) >= len(b.counts) {
-		m.counts = maps.Clone(a.counts)
-		for addr, n := range b.counts {
-			m.counts[addr] += n
-		}
-	} else {
-		m.counts = maps.Clone(b.counts)
-		for addr, n := range a.counts {
-			m.counts[addr] += n
+	for addr, c := range b.firstCls {
+		if _, ok := ac.firstCls[addr]; !ok {
+			ac.firstCls[addr] = c
 		}
 	}
-	// First touches in a (the earlier window) take precedence.
-	if len(a.firstCls) >= len(b.firstCls) {
-		m.firstCls = maps.Clone(a.firstCls)
-		for addr, c := range b.firstCls {
-			if _, ok := m.firstCls[addr]; !ok {
-				m.firstCls[addr] = c
-			}
-		}
-	} else {
-		m.firstCls = maps.Clone(b.firstCls)
-		for addr, c := range a.firstCls {
-			m.firstCls[addr] = c
-		}
-	}
-	return m
 }
 
 // sortByHotness orders diagnostics by descending estimated loads with a
@@ -364,7 +349,7 @@ func keyedDiagnosticsSharded(ctx context.Context, t *trace.Trace, blockSize uint
 		for _, m := range res[1:] {
 			for k, ac := range m {
 				if prev, ok := accs[k]; ok {
-					accs[k] = mergeAccums(prev.name, prev, ac)
+					prev.absorb(ac)
 				} else {
 					accs[k] = ac
 				}

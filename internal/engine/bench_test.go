@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/analysis"
@@ -49,4 +50,26 @@ func BenchmarkSuite(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStreamAccum folds a streamed trace's windows in capture
+// order. Each fold is in place and costs O(window), so ns/window stays
+// flat as the window count — and with it the accumulated footprint —
+// grows; a fold that copied the accumulation would grow linearly here.
+func BenchmarkStreamAccum(b *testing.B) {
+	for _, windows := range []int{100, 400} {
+		samples := testTrace(windows, 512).AllSamples()
+		b.Run(fmt.Sprintf("windows=%d", windows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sa := NewStreamAccum(64)
+				for idx, s := range samples {
+					sa.AddSample(idx, s)
+				}
+				if sa.Samples() != windows {
+					b.Fatalf("folded %d windows, want %d", sa.Samples(), windows)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
+		})
+	}
 }

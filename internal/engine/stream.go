@@ -17,7 +17,8 @@ import (
 // private analysis.DiagAccum off the hot lock, and completed windows
 // fold into the running accumulation strictly in capture order via
 // MergeDiagAccums, whose first-touch semantics make in-order folding
-// byte-identical to one sequential pass. Out-of-order windows wait in a
+// byte-identical to one sequential pass. Each fold is in place and
+// costs O(window), not O(footprint so far). Out-of-order windows wait in a
 // pending set bounded by the builder's in-flight window count (workers
 // plus the dispatch slack), so memory stays O(workers), not O(trace).
 type StreamAccum struct {

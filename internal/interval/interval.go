@@ -47,10 +47,12 @@ func Build(t *trace.Trace, blockSize uint64) *Tree {
 // the context is done.
 //
 // The build is truly bottom-up: each sample's records are accumulated
-// exactly once into its leaf, and every parent merges its children's
-// accumulator states (analysis.MergeDiagAccums) instead of rescanning
-// the sample range — same diagnostics, O(records) record work instead
-// of O(records · log samples).
+// exactly once into its leaf, and every parent folds its right child's
+// accumulator state into its left child's, in place
+// (analysis.MergeDiagAccums), instead of rescanning the sample range —
+// same diagnostics, O(records) record work instead of
+// O(records · log samples). A child's Diag is finished before its
+// state is folded, so reusing the left child's accumulator is safe.
 func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, error) {
 	tr := &Tree{trace: t, blockSize: blockSize}
 	level := make([]*Node, 0, t.NumSamples())

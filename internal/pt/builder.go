@@ -62,7 +62,9 @@ type BuildOptions struct {
 	// nil when the window decoded to no records — keyed by its position
 	// in the capture. Windows are emitted as soon as they decode: calls
 	// may arrive on any worker goroutine, concurrently and out of
-	// order. engine.StreamAccum is a ready-made sink.
+	// order. engine.StreamAccum is a ready-made library sink that folds
+	// the windows into whole-trace diagnostics; memgazed does not attach
+	// one, since the built trace already answers its upload.
 	SampleSink func(idx int, s *trace.Sample)
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/memgaze/memgaze-go/internal/cluster"
 	"github.com/memgaze/memgaze-go/internal/pt"
-	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
 // This file is the server side of cluster routing under replicated
@@ -310,21 +309,16 @@ func (s *Server) fetchRemoteAnalysis(owners []string, path string, body []byte, 
 
 // forwardUpload lands an upload whose content hash this replica does
 // not own. The expensive part — a PT capture's decode and build —
-// already ran here on the receiving replica; only the built trace's
-// canonical MGTR encoding travels, as internal POST /v1/traces calls:
-// the first live owner to accept it is the durable ack the client's
-// 201 stands on (quorum = 1), the remaining owners get best-effort
-// fan-out copies stamped with the ack's upload time, and any owner the
-// fan-out missed is healed later by the anti-entropy repair loop. The
-// ack's verdict (created vs deduplicated) relays back with the local
-// build accounting re-attached, so clients cannot tell routed uploads
-// from direct ones.
-func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []string, id string, tr *trace.Trace, ds *pt.DecodeStats) {
-	enc, err := tr.Encode()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "encoding trace: %v", err)
-		return
-	}
+// already ran here on the receiving replica; only enc, the built
+// trace's canonical MGTR encoding, travels, as internal POST
+// /v1/traces calls: the first live owner to accept it is the durable
+// ack the client's 201 stands on (quorum = 1), the remaining owners
+// get best-effort fan-out copies stamped with the ack's upload time,
+// and any owner the fan-out missed is healed later by the anti-entropy
+// repair loop. The ack's verdict (created vs deduplicated) relays back
+// with the local build accounting re-attached, so clients cannot tell
+// routed uploads from direct ones.
+func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []string, id string, enc []byte, ds *pt.DecodeStats) {
 	hdr := http.Header{"Content-Type": []string{ContentTypeTrace}}
 	var resp *http.Response
 	var body []byte
@@ -369,27 +363,14 @@ func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []
 	writeJSON(w, resp.StatusCode, info)
 }
 
-// replicateUpload fans a locally acked upload out to the id's other
-// owners. A no-op for single-node, fleet-internal (the acking owner
-// already fans out), and replication-1 requests — planRoute leaves
-// remotes empty for all three.
-func (s *Server) replicateUpload(r *http.Request, tr *trace.Trace, uploaded time.Time, owners []string) {
-	if len(owners) == 0 {
-		return
-	}
-	enc, err := tr.Encode()
-	if err != nil {
-		return // the durable ack stands; repair re-replicates later
-	}
-	s.fanoutUpload(enc, uploaded, owners)
-}
-
 // fanoutUpload best-effort replicates an accepted upload's canonical
 // bytes to the remaining owners, stamping the ack's upload time so
 // every copy carries identical metadata. Failures only count — the
 // durable ack already happened, and the repair loop re-replicates when
 // the owner comes back. Detached from the client (s.baseCtx): a client
-// disconnecting after its ack must not strand a copy.
+// disconnecting after its ack must not strand a copy. A no-op for
+// single-node, fleet-internal (the acking owner already fans out), and
+// replication-1 requests: planRoute leaves no remotes for all three.
 func (s *Server) fanoutUpload(enc []byte, uploaded time.Time, owners []string) {
 	if len(owners) == 0 {
 		return

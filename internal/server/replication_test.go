@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"sort"
 	"testing"
+
+	"github.com/memgaze/memgaze-go/internal/cluster"
+	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
 // prevID is a ?after cursor strictly before id (its own prefix), so a
@@ -187,6 +190,59 @@ func TestClusterUploadFanout(t *testing.T) {
 	var dup TraceInfo
 	if err := json.Unmarshal(body, &dup); err != nil || !dup.Existed {
 		t.Fatalf("duplicate upload answered %q (%v)", body, err)
+	}
+}
+
+// TestUploadEncodeOnceAcrossReplicas pins that both upload paths ship
+// one canonical encoding to every owner at replication 2: a streamed PT
+// upload at a non-owner (decoded there, forwarded, fanned out) and a
+// buffered legacy-v2 upload at an owner (stored, fanned out) each leave
+// the same bytes on both owners — the bytes a local Encode produces,
+// not the body as sent.
+func TestUploadEncodeOnceAcrossReplicas(t *testing.T) {
+	reps := newFleet(t, 3)
+	capture, streamedTr, _ := streamCapture(t, 5000)
+	buffered := testTrace(4, 20)
+	legacy, err := buffered.EncodeLegacy(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name   string
+		tr     *trace.Trace
+		upload func(owners, others []*fleetReplica) (*http.Response, []byte)
+	}{
+		{"streamed at non-owner", streamedTr, func(_, others []*fleetReplica) (*http.Response, []byte) {
+			resp, _, b := streamPut(t, others[0].url(), ContentTypePT, bytes.NewReader(capture))
+			return resp, b
+		}},
+		{"buffered at owner", buffered, func(owners, _ []*fleetReplica) (*http.Response, []byte) {
+			return doReq(t, http.MethodPost, owners[1].url()+"/v1/traces",
+				http.Header{"Content-Type": []string{ContentTypeTrace}}, legacy)
+		}},
+	} {
+		want, err := c.tr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := c.tr.Hash()
+		owners, others := ownersOf(t, reps, id, 2)
+		if resp, b := c.upload(owners, others); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, b)
+		}
+		for i, o := range owners {
+			// The peer header pins the read to o's own corpus.
+			resp, raw := doReq(t, http.MethodGet, o.url()+"/v1/traces/"+id+"/raw",
+				http.Header{cluster.PeerHeader: []string{"http://tester"}}, nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, want) {
+				t.Errorf("%s: owner %d raw = %d, %d bytes; want the %d-byte local encoding",
+					c.name, i, resp.StatusCode, len(raw), len(want))
+			}
+		}
+		if hasLocal(others[0], id) {
+			t.Errorf("%s: non-owner kept a copy", c.name)
+		}
 	}
 }
 

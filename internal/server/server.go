@@ -414,15 +414,17 @@ func diskInfo(id string, m storage.Meta, size int64, tier string) TraceInfo {
 // storeTrace lands a decoded upload in the tiers: write-through to the
 // durable store first when one is configured — a disk failure fails
 // the upload, so the hot tier never serves a trace the disk lost —
-// then the hot tier. It reports whether the content is new and the
+// then the hot tier. enc is tr's canonical encoding, the bytes the
+// segment appends. It reports whether the content is new and the
 // upload time to answer with (dedup keeps the original's). A non-zero
 // at is a replication write carrying the ack's upload time, so every
 // owner's copy agrees on the metadata; zero stamps now.
-func (s *Server) storeTrace(id string, tr *trace.Trace, size int64, at time.Time) (added bool, uploaded time.Time, err error) {
+func (s *Server) storeTrace(id string, tr *trace.Trace, enc []byte, at time.Time) (added bool, uploaded time.Time, err error) {
 	uploaded = at.UTC()
 	if at.IsZero() {
 		uploaded = time.Now().UTC()
 	}
+	size := int64(len(enc))
 	if s.disk != nil {
 		m := storage.Meta{
 			Module:   tr.Module,
@@ -433,7 +435,7 @@ func (s *Server) storeTrace(id string, tr *trace.Trace, size int64, at time.Time
 			Kappa:    tr.Kappa(),
 			Uploaded: uploaded,
 		}
-		added, err = s.disk.Put(id, m, size, tr)
+		added, err = s.disk.Put(id, m, size, bytes.NewReader(enc))
 		if err != nil {
 			return false, time.Time{}, err
 		}
@@ -559,23 +561,39 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id, size := tr.HashAndSize()
-	plan, ok := s.planRoute(r, "upload", id)
+	s.acceptUpload(w, r, "upload", tr, ds)
+}
+
+// acceptUpload is the shared tail of both upload handlers, run once
+// the body has decoded into tr. The trace is encoded exactly once, and
+// that one byte slice is the content identity (trace.EncodingHash),
+// the segment append, the forward to an owning replica, and the
+// fan-out to the other owners. The answer is traceInfo of the built
+// trace either way, so a streamed upload and its buffered twin answer
+// identically.
+func (s *Server) acceptUpload(w http.ResponseWriter, r *http.Request, endpoint string, tr *trace.Trace, ds *pt.DecodeStats) {
+	enc, err := tr.Encode()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "encoding trace: %v", err)
+		return
+	}
+	id := trace.EncodingHash(enc)
+	plan, ok := s.planRoute(r, endpoint, id)
 	if !ok {
 		s.writeNoLiveOwner(w, id)
 		return
 	}
 	if !plan.local {
-		s.forwardUpload(w, r, plan.remotes, id, tr, ds)
+		s.forwardUpload(w, r, plan.remotes, id, enc, ds)
 		return
 	}
-	added, uploaded, err := s.storeTrace(id, tr, size, internalUploadTime(r))
+	added, uploaded, err := s.storeTrace(id, tr, enc, internalUploadTime(r))
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, ErrCodeStorageUnavailable, "durable store: %v", err)
 		return
 	}
-	s.replicateUpload(r, tr, uploaded, plan.remotes)
-	info := traceInfo(id, tr, size)
+	s.fanoutUpload(enc, uploaded, plan.remotes)
+	info := traceInfo(id, tr, int64(len(enc)))
 	info.Tier = tierHot // an upload always lands hot
 	info.Uploaded = uploaded
 	info.Existed = !added
@@ -639,16 +657,14 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // handleStream is PUT /v1/traces:stream: the bounded-memory upload
 // path. The body — chunked transfer or unknown Content-Length included
-// — is consumed incrementally: a PT capture decodes through
-// pt.BuildCaptureStream with samples pipelined onto the build workers
-// and headline diagnostics folded on the fly by engine.StreamAccum; an
-// MGTR trace decodes through trace.Read directly off the wire. The
-// byte quota is enforced mid-stream by http.MaxBytesReader (413 on
-// breach, nothing buffered), client disconnects surface between chunks
-// as context cancellation (503), and the stored id comes from the
-// trace's canonical encoding streamed through a trace.Hasher — so a
-// streamed upload of any valid body deduplicates against its buffered
-// twin byte-for-byte.
+// — is consumed incrementally and never buffered: a PT capture decodes
+// through pt.BuildCaptureStream with samples pipelined onto the build
+// workers; an MGTR trace decodes through trace.Read directly off the
+// wire. The byte quota is enforced mid-stream by http.MaxBytesReader
+// (413 on breach), and client disconnects surface between chunks as
+// context cancellation (503). The built trace then goes through the
+// same acceptUpload as a buffered upload, so a streamed upload of any
+// valid body deduplicates against its buffered twin byte-for-byte.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamsInFlight.Add(1)
 	defer s.metrics.streamsInFlight.Add(-1)
@@ -656,10 +672,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.streamBytes.Observe(float64(body.n)) }()
 
 	var (
-		tr    *trace.Trace
-		ds    *pt.DecodeStats
-		accum *engine.StreamAccum
-		err   error
+		tr  *trace.Trace
+		ds  *pt.DecodeStats
+		err error
 	)
 	ctype, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	switch strings.TrimSpace(ctype) {
@@ -670,13 +685,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "%v", err)
 			return
 		}
-		accum = engine.NewStreamAccum(0)
 		var dsv pt.DecodeStats
 		tr, dsv, err = pt.BuildCaptureStream(r.Context(), body,
 			pt.WithWorkers(s.cfg.BuildWorkers),
 			pt.WithChunkBytes(s.cfg.StreamChunkBytes),
 			pt.WithFaultPolicy(policy),
-			pt.WithSampleSink(accum.AddSample),
 		)
 		ds = &dsv
 	case ContentTypeTrace, "application/octet-stream", "":
@@ -700,58 +713,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-
-	// Identity from the canonical encoding, streamed through the
-	// incremental hasher: one serialisation pass, nothing materialised.
-	h := trace.NewHasher()
-	if err := tr.Write(h); err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "hashing: %v", err)
-		return
-	}
-	id, size := h.Sum()
-	plan, ok := s.planRoute(r, "stream", id)
-	if !ok {
-		s.writeNoLiveOwner(w, id)
-		return
-	}
-	if !plan.local {
-		s.forwardUpload(w, r, plan.remotes, id, tr, ds)
-		return
-	}
-	added, uploaded, err := s.storeTrace(id, tr, size, internalUploadTime(r))
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, ErrCodeStorageUnavailable, "durable store: %v", err)
-		return
-	}
-	s.replicateUpload(r, tr, uploaded, plan.remotes)
-
-	var info TraceInfo
-	if accum != nil {
-		// The PT path already folded the headline numbers window by
-		// window; no second walk over the built trace.
-		info = TraceInfo{
-			ID:      id,
-			Module:  tr.Module,
-			Mode:    tr.Mode,
-			Samples: accum.Samples(),
-			Records: accum.Records(),
-			Bytes:   size,
-			Rho:     accum.Rho(tr.TotalLoads, tr.Period),
-			Kappa:   accum.Kappa(),
-		}
-	} else {
-		info = traceInfo(id, tr, size)
-	}
-	info.Tier = tierHot
-	info.Uploaded = uploaded
-	info.Existed = !added
-	info.Decode = ds
-	status := http.StatusCreated
-	if !added {
-		status = http.StatusOK
-	}
-	w.Header().Set("Location", "/v1/traces/"+id)
-	writeJSON(w, status, info)
+	s.acceptUpload(w, r, "stream", tr, ds)
 }
 
 // etagMatch reports whether an If-None-Match header matches etag.

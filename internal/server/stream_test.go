@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/memgaze/memgaze-go/internal/pt"
 	"github.com/memgaze/memgaze-go/internal/trace"
@@ -23,7 +27,13 @@ type chunkedBody struct{ io.Reader }
 // encoding and decodes the TraceInfo answer.
 func streamPut(t *testing.T, base, ctype string, body io.Reader) (*http.Response, TraceInfo, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/traces:stream", chunkedBody{body})
+	return streamPutURL(t, base+"/v1/traces:stream", ctype, body)
+}
+
+// streamPutURL is streamPut against a full URL, query string included.
+func streamPutURL(t *testing.T, url, ctype string, body io.Reader) (*http.Response, TraceInfo, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, url, chunkedBody{body})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +60,14 @@ func streamPut(t *testing.T, base, ctype string, body io.Reader) (*http.Response
 // size and returns its serialised bytes plus the locally built trace.
 func streamCapture(t *testing.T, loads int) ([]byte, *trace.Trace, pt.DecodeStats) {
 	t.Helper()
+	return faultyCapture(t, loads, nil)
+}
+
+// faultyCapture is streamCapture with a hook that may corrupt the raw
+// sample windows before the capture is serialised and built locally
+// (under the default resync policy).
+func faultyCapture(t *testing.T, loads int, corrupt func([]pt.RawSample)) ([]byte, *trace.Trace, pt.DecodeStats) {
+	t.Helper()
 	notes := captureNotes()
 	col := pt.NewCollector(pt.Config{Mode: pt.ModeContinuous, Period: 500, BufBytes: 4 << 10})
 	ts := uint64(0)
@@ -62,6 +80,9 @@ func streamCapture(t *testing.T, loads int) ([]byte, *trace.Trace, pt.DecodeStat
 	cp, err := col.Capture(notes)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if corrupt != nil {
+		corrupt(cp.Samples)
 	}
 	local, ds, err := cp.NewBuilder().Build(t.Context())
 	if err != nil {
@@ -132,8 +153,8 @@ func TestStreamUploadTrace(t *testing.T) {
 }
 
 // TestStreamUploadPT pins the PT streamed path against the buffered
-// one: same id, and a TraceInfo — records, κ, ρ from the incremental
-// StreamAccum — identical to the buffered build's whole-trace walk.
+// one: same id, and the same TraceInfo — records, κ, ρ — as the
+// buffered build's.
 func TestStreamUploadPT(t *testing.T) {
 	capture, local, localDS := streamCapture(t, 5000)
 	if local.NumRecords() == 0 {
@@ -176,6 +197,83 @@ func TestStreamUploadPT(t *testing.T) {
 	}
 	if streamed.Decode == nil || *streamed.Decode != localDS {
 		t.Errorf("streamed decode stats %+v, want %+v", streamed.Decode, localDS)
+	}
+}
+
+// TestStreamUploadPTFaults streams a capture whose windows were
+// damaged — some emptied outright, some bit-flipped or cut short — and
+// pins that resync leaves the streamed answer exactly the buffered
+// one's and exactly traceInfo of the locally built trace: empty windows
+// add no samples, corrupt ones only what survived the resync. The raw
+// download is the canonical encoding, so it hashes to the id.
+func TestStreamUploadPTFaults(t *testing.T) {
+	windows := 0
+	capture, local, localDS := faultyCapture(t, 20_000, func(samples []pt.RawSample) {
+		windows = len(samples)
+		for i := range samples {
+			switch i % 5 {
+			case 1:
+				samples[i].Raw = nil // decodes to no records
+			case 2:
+				samples[i].Raw = pt.Inject(samples[i].Raw, pt.FaultBitFlip, uint64(i))
+			case 3:
+				samples[i].Raw = pt.Inject(samples[i].Raw, pt.FaultMidVarint, uint64(i))
+			}
+		}
+	})
+	if local.NumRecords() == 0 {
+		t.Fatal("capture built an empty trace")
+	}
+	if localDS.CorruptSamples == 0 || local.NumSamples() >= windows {
+		t.Fatalf("faults left no corrupt or empty windows: %d samples of %d windows, %+v",
+			local.NumSamples(), windows, localDS)
+	}
+	enc, err := local.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := local.Hash()
+	want := traceInfo(id, local, int64(len(enc)))
+	want.Tier = tierHot
+	want.Decode = &localDS
+
+	_, bufHS := newTestServer(t, Config{})
+	resp, body := doReq(t, http.MethodPost, bufHS.URL+"/v1/traces?fault=resync",
+		http.Header{"Content-Type": []string{ContentTypePT}}, capture)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("buffered upload: status %d: %s", resp.StatusCode, body)
+	}
+	var buffered TraceInfo
+	if err := json.Unmarshal(body, &buffered); err != nil {
+		t.Fatal(err)
+	}
+
+	_, strHS := newTestServer(t, Config{StreamChunkBytes: 512})
+	sresp, streamed, sb := streamPutURL(t, strHS.URL+"/v1/traces:stream?fault=resync", ContentTypePT, bytes.NewReader(capture))
+	if sresp.StatusCode != http.StatusCreated {
+		t.Fatalf("streamed upload: status %d: %s", sresp.StatusCode, sb)
+	}
+
+	for name, got := range map[string]TraceInfo{"streamed": streamed, "buffered": buffered} {
+		if got.Uploaded.IsZero() {
+			t.Errorf("%s: no upload time", name)
+		}
+		got.Uploaded = time.Time{}
+		if got.Decode == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s info diverges from the local build:\ngot  %+v (decode %+v)\nwant %+v (decode %+v)",
+				name, got, got.Decode, want, want.Decode)
+		}
+	}
+
+	dl, raw := doReq(t, http.MethodGet, strHS.URL+"/v1/traces/"+id+"/raw", nil, nil)
+	if dl.StatusCode != http.StatusOK {
+		t.Fatalf("raw download: status %d", dl.StatusCode)
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != id {
+		t.Errorf("raw download hashes to %x, want %s", sum, id)
+	}
+	if !bytes.Equal(raw, enc) {
+		t.Errorf("raw download differs from the local encoding (%d vs %d bytes)", len(raw), len(enc))
 	}
 }
 

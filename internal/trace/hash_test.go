@@ -58,7 +58,8 @@ func TestHash(t *testing.T) {
 	}
 }
 
-// TestEncodedSize pins the store accounting helper.
+// TestEncodedSize pins the store accounting helper, and EncodingHash
+// of the same bytes against Hash.
 func TestEncodedSize(t *testing.T) {
 	tr := synthetic(7, 3, 40)
 	enc, err := tr.Encode()
@@ -67,6 +68,9 @@ func TestEncodedSize(t *testing.T) {
 	}
 	if got := tr.EncodedSize(); got != int64(len(enc)) {
 		t.Errorf("EncodedSize = %d, want %d", got, len(enc))
+	}
+	if got, want := EncodingHash(enc), tr.Hash(); got != want {
+		t.Errorf("EncodingHash = %s, want %s", got, want)
 	}
 }
 

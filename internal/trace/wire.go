@@ -673,6 +673,14 @@ func (t *Trace) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// EncodingHash returns the content hash of an MGTR encoding already in
+// memory — the id Hash computes for the trace it encodes, without a
+// second serialisation pass.
+func EncodingHash(enc []byte) string {
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:])
+}
+
 // EncodedSize returns the size in bytes of the trace's MGTR encoding
 // without materialising it.
 func (t *Trace) EncodedSize() int64 {

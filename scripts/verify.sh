@@ -1,8 +1,8 @@
 #!/bin/sh
-# Repo verification gate: build, vet, formatting, lint (when installed),
-# full tests (shuffled), the concurrent packages under the race
-# detector, fuzz smoke, and a live memgazed smoke test. Run from the
-# repo root.
+# Repo verification gate: build, vet (the nested perfbench module
+# included), formatting, lint (when installed), full tests (shuffled),
+# the concurrent packages under the race detector, fuzz smoke, and a
+# live memgazed smoke test. Run from the repo root.
 #
 # Every stage fails with a distinct "verify: FAILED stage: <name>"
 # message so CI logs point at the broken stage without scrolling.
@@ -29,6 +29,9 @@ run() {
 
 run "go build" go build ./...
 run "go vet" go vet ./...
+# perfbench is a nested module, so the root ./... skips it; vetting it
+# here catches an internal API change that would break the benchmark.
+run "go vet (perfbench)" go -C perfbench vet .
 
 begin "gofmt"
 unformatted=$(gofmt -l .) || die

@@ -78,9 +78,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	streamChunk := fs.Int("stream-chunk", 0, "read granularity of streamed uploads in bytes (0 = 256 KiB); peak streamed-build memory is O(stream-chunk × build-workers)")
 	sweepShards := fs.Int("sweep-shards", 0, "sample shards per analysis trace walk (0 = GOMAXPROCS, 1 = sequential; output is identical at every count)")
 	dataDir := fs.String("data-dir", "", "durable trace storage directory: uploads write through to an on-disk segment store and survive restarts (empty = in-memory only)")
-	peers := fs.String("peers", "", "comma-separated static replica set (advertise addresses, this replica included); each trace id is owned by its top -replication replicas via rendezvous hashing and requests proxy transparently to the first live owner (empty = single-node)")
+	peers := fs.String("peers", "", "comma-separated static replica set (advertise addresses, this replica included); each trace id is owned by its top -replication replicas via rendezvous hashing and requests proxy transparently to the first live owner (empty = a cluster of one that owns every trace)")
 	advertise := fs.String("advertise", "", "this replica's own address exactly as listed in -peers (required with -peers)")
-	replication := fs.Int("replication", 2, "replicas owning each trace: uploads fan out to this many owners and reads fail over among them (clamped to the peer count; 1 = single-owner fast-fail; only with -peers)")
+	replication := fs.Int("replication", 2, "replicas owning each trace: uploads fan out to this many owners and reads fail over among them (clamped to the peer count; at 1 a down owner answers peer_unavailable, as no other owner holds the trace; only with -peers)")
 	repairInterval := fs.Duration("repair-interval", 30*time.Second, "anti-entropy repair period: each round re-replicates under-replicated traces and propagates tombstones to rejoined peers (< 0 disables; only with -peers and -replication > 1)")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain grace for in-flight requests")
 	if err := fs.Parse(args); err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -97,8 +98,13 @@ func main() {
 	fmt.Printf("trace: %d samples, %d records, overhead %.0f%%\n\n",
 		res.Trace.NumSamples(), res.Trace.NumRecords(), 100*res.Overhead())
 
+	rep, err := memgaze.NewAnalyzer(res.Trace, memgaze.WithBlockSize(64),
+		memgaze.WithAnalyses(memgaze.AnalyzeFunctions)).Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	t := report.NewTable("Per-function diagnostics", "function", "est loads", "F", "Fstr%", "D")
-	for _, d := range memgaze.FunctionDiagnostics(res.Trace, 64) {
+	for _, d := range rep.FunctionDiags {
 		t.Add(d.Name, report.Count(d.EstLoads), report.Count(d.F), d.FstrPct, d.D)
 	}
 	fmt.Println(t.Render())

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,9 +44,16 @@ func main() {
 			cpus[s.CPU] = true
 		}
 		hot := w.Regions()[0]
-		d := memgaze.RegionDiagnostics(res.Trace, []memgaze.Region{hot}, 64)[0]
+		rep, err := memgaze.NewAnalyzer(res.Trace, memgaze.WithBlockSize(64),
+			memgaze.WithRegions([]memgaze.Region{hot}),
+			memgaze.WithAnalyses(memgaze.AnalyzeFunctions, memgaze.AnalyzeRegions),
+		).Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		d := rep.RegionDiags[0]
 		var fstr float64
-		for _, fd := range memgaze.FunctionDiagnostics(res.Trace, 64) {
+		for _, fd := range rep.FunctionDiags {
 			if fd.Name == "rank" {
 				fstr = fd.FstrPct
 			}

@@ -38,7 +38,7 @@ type Config struct {
 	// Replication is how many replicas own each key: every trace is
 	// written to the top-Replication peers of its rendezvous order and
 	// reads fail over along that order (default 2; clamped to the peer
-	// count; 1 reproduces the single-owner fast-fail ring).
+	// count; at 1 the failover walk covers a one-owner list).
 	Replication int
 	// ProbeInterval is the membership prober's period (default 2s;
 	// <0 disables the background loop — ProbeNow still works, which is
@@ -128,9 +128,9 @@ type Cluster struct {
 }
 
 // New validates the peer set and starts the membership prober. Self
-// must appear in Peers and the set needs at least two replicas to be a
-// fleet (a one-entry set is accepted — it degenerates to every key
-// self-owned — so a templated config can roll out one replica first).
+// must appear in Peers. A one-entry set is a cluster of one — every key
+// self-owned, the shape a single memgazed runs as — and starts no
+// prober, since it has no other peer to probe.
 func New(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
 	self := Normalize(cfg.Self)
@@ -171,7 +171,7 @@ func New(cfg Config) (*Cluster, error) {
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.ProbeInterval > 0 {
+	if cfg.ProbeInterval > 0 && len(names) > 1 {
 		go c.probeLoop()
 	} else {
 		close(c.done)

@@ -246,3 +246,29 @@ func TestReplicationClampAndOwners(t *testing.T) {
 		t.Error("Owners repeats a peer")
 	}
 }
+
+// TestClusterOfOneStartsNoProber: a one-entry peer set is a cluster of
+// one — every key self-owned, Replication clamped to 1 — and has no
+// other peer to probe, so even with a positive ProbeInterval no prober
+// goroutine runs (done is closed from the start).
+func TestClusterOfOneStartsNoProber(t *testing.T) {
+	c, err := New(Config{Self: "localhost", Peers: []string{"localhost"}, ProbeInterval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("a one-peer cluster started a prober")
+	}
+	if got := c.Replication(); got != 1 {
+		t.Errorf("replication = %d, want the clamp to 1", got)
+	}
+	if owners := c.Owners("deadbeef"); len(owners) != 1 || !c.IsSelf(owners[0]) {
+		t.Errorf("owners = %v, want just self", owners)
+	}
+	if up := c.UpPeers(); len(up) != 0 {
+		t.Errorf("UpPeers = %v, want none", up)
+	}
+}

@@ -1,10 +1,12 @@
 package pt
 
 import (
+	"context"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
 	"github.com/memgaze/memgaze-go/internal/instrument"
+	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
 // handNotes builds an annotation file by hand: one marker (constant
@@ -36,6 +38,17 @@ func handNotes() *instrument.Annotations {
 	return n
 }
 
+// buildTrace runs the default Builder over col, failing the test on a
+// build error.
+func buildTrace(t *testing.T, col *Collector, notes *instrument.Annotations) (*trace.Trace, DecodeStats) {
+	t.Helper()
+	tr, ds, err := NewBuilder(col, notes).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, ds
+}
+
 func TestDecoderReconstruction(t *testing.T) {
 	notes := handNotes()
 	col := NewCollector(Config{Mode: ModeFull, CopyBytesPerCycle: 1e9})
@@ -49,7 +62,7 @@ func TestDecoderReconstruction(t *testing.T) {
 	emit(0x200, 0x5000) // base: addr = 0x5000+16
 	emit(0x300, 0x9000) // gather base
 	emit(0x305, 7)      // gather index: addr = 0x9000+7*8
-	tr, ds := BuildFullTrace(col, notes)
+	tr, ds := buildTrace(t, col, notes)
 	if ds.OrphanEvents != 0 || ds.PartialPairs != 0 {
 		t.Fatalf("decode stats %+v", ds)
 	}
@@ -76,7 +89,7 @@ func TestDecoderPartialPairAndOrphans(t *testing.T) {
 	col.PTWrite(0x300, 0x9000, 1)
 	col.PTWrite(0x200, 0x5000, 2)
 	col.PTWrite(0xfff, 1, 3) // unknown ptwrite IP
-	tr, ds := BuildFullTrace(col, notes)
+	tr, ds := buildTrace(t, col, notes)
 	if ds.PartialPairs != 1 {
 		t.Errorf("partial pairs = %d, want 1", ds.PartialPairs)
 	}
@@ -97,7 +110,7 @@ func TestSampledTraceBuildFromHandNotes(t *testing.T) {
 		col.PTWrite(0x200, uint64(0x5000+i*8), ts)
 		col.OnLoad(ts)
 	}
-	tr, ds := BuildSampledTrace(col, notes)
+	tr, ds := buildTrace(t, col, notes)
 	if tr.NumSamples() < 5 {
 		t.Fatalf("samples = %d", tr.NumSamples())
 	}

@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/memgaze/memgaze-go/internal/cluster"
 )
@@ -401,6 +404,15 @@ func TestClusterKillAndRejoinSingleOwner(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, body) != ErrCodePeerUnavailable {
 		t.Fatalf("delete with a dead owner = %d %s", resp.StatusCode, body)
 	}
+	resp, body = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id, nil, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, body) != ErrCodePeerUnavailable {
+		t.Fatalf("get with a dead owner = %d %s", resp.StatusCode, body)
+	}
+	resp, body = doReq(t, http.MethodPost, vantage.url()+"/v1/traces",
+		http.Header{"Content-Type": []string{ContentTypeTrace}}, enc)
+	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, body) != ErrCodePeerUnavailable {
+		t.Fatalf("upload forward with a dead owner = %d %s", resp.StatusCode, body)
+	}
 	// The replica-local result cache outlives the owner: analyses this
 	// replica already holds keep serving (content addressing keeps them
 	// correct).
@@ -424,5 +436,77 @@ func TestClusterKillAndRejoinSingleOwner(t *testing.T) {
 	resp, raw = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id+"/raw", nil, nil)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, enc) {
 		t.Fatalf("raw after owner rejoin = %d, %d bytes", resp.StatusCode, len(raw))
+	}
+}
+
+// TestSingleNodeIsClusterOfOne pins that a memgazed with no Peers
+// routes through a self-only ring: every keyed endpoint and the listing
+// count as local requests, nothing is proxied or fanned out, and the
+// ring holds exactly one peer — this replica, up.
+func TestSingleNodeIsClusterOfOne(t *testing.T) {
+	_, hs := newTestServer(t, Config{ProbeInterval: time.Millisecond})
+	trA, trB := testTrace(4, 20), testTrace(3, 15)
+	idA := uploadTrace(t, hs.URL, trA).ID
+	encA, err := trA.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encB, err := trB.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, infoB, body := streamPut(t, hs.URL, ContentTypeTrace, bytes.NewReader(encB))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("stream: %d: %s", resp.StatusCode, body)
+	}
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodGet, "/v1/traces/" + idA, "", http.StatusOK},
+		{http.MethodGet, "/v1/traces/" + idA + "/raw", "", http.StatusOK},
+		{http.MethodPost, "/v1/traces/" + idA + "/analyze", `{"analyses":["mrc"]}`, http.StatusOK},
+		{http.MethodPost, "/v1/diff", fmt.Sprintf(`{"a":%q,"b":%q,"analyses":["mrc"]}`, idA, infoB.ID), http.StatusOK},
+		{http.MethodGet, "/v1/traces", "", http.StatusOK},
+		{http.MethodDelete, "/v1/traces/" + idA, "", http.StatusNoContent},
+	} {
+		var rb []byte
+		if c.body != "" {
+			rb = []byte(c.body)
+		}
+		resp, body := doReq(t, c.method, hs.URL+c.path, nil, rb)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s %s = %d: %s", c.method, c.path, resp.StatusCode, body)
+		}
+		if strings.HasSuffix(c.path, "/raw") && !bytes.Equal(body, encA) {
+			t.Fatalf("raw: %d bytes differ from the upload", len(body))
+		}
+	}
+
+	_, metrics := doReq(t, http.MethodGet, hs.URL+"/metrics", nil, nil)
+	out := string(metrics)
+	for _, ep := range clusterEndpoints {
+		for _, want := range []string{
+			fmt.Sprintf("memgazed_cluster_local_requests_total{endpoint=%q} 1\n", ep),
+			fmt.Sprintf("memgazed_cluster_proxied_requests_total{endpoint=%q} 0\n", ep),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("metrics lack %q", strings.TrimSpace(want))
+			}
+		}
+	}
+	for _, want := range []string{
+		"memgazed_cluster_replication_fanout_total 0\n",
+		"memgazed_cluster_replication_fanout_failures_total 0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics lack %q", strings.TrimSpace(want))
+		}
+	}
+	if n := strings.Count(out, "\nmemgazed_cluster_peer_up{"); n != 1 {
+		t.Errorf("%d memgazed_cluster_peer_up lines, want exactly one (self)", n)
+	}
+	if !strings.Contains(out, `memgazed_cluster_peer_up{peer="http://localhost"} 1`) {
+		t.Error("the self-only ring's peer is not up")
 	}
 }

@@ -1,19 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"github.com/memgaze/memgaze-go/internal/diff"
 	"github.com/memgaze/memgaze-go/internal/engine"
-	"github.com/memgaze/memgaze-go/internal/storage"
-	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
 // DiffRequest is the JSON body of POST /v1/diff: two resident trace
@@ -47,16 +42,8 @@ func (q *DiffRequest) cacheKey() string {
 // engine run — and the finished DiffReport is itself cached, so a
 // repeat diff is one lookup.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "reading body: %v", err)
-		return
-	}
 	var req DiffRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "request: %v", err)
+	if !s.readRequest(w, r, &req) {
 		return
 	}
 	if req.A == "" || req.B == "" {
@@ -68,91 +55,34 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeUnknownAnalysis, "%v", err)
 		return
 	}
-	sides := []*diffSide{{id: req.A}, {id: req.B}}
-	for _, sd := range sides {
+	var sides [2]*analyzeTarget
+	for i, id := range []string{req.A, req.B} {
 		// A side owned by other replicas resolves remotely inside
 		// runDiff — as a proxied analyze walking the side's live owners,
 		// so its Report lands in this replica's result cache like any
 		// other; a self-owned side prefetches here so a missing trace
 		// answers before any engine work, falling back to the other
 		// owners when the local copy has not landed yet.
-		if s.cluster != nil && !isInternal(r) {
-			plan := s.ownerPlan(sd.id)
-			sd.remotes = plan.remotes
-			if !plan.local {
-				if len(plan.remotes) == 0 {
-					s.writeNoLiveOwner(w, sd.id)
-					return
-				}
-				continue
-			}
-		}
-		sd.tr, _, err = s.fetch(sd.id)
+		tg, err := s.resolveTarget(id, s.ownerPlan(r, id))
 		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) && len(sd.remotes) > 0 {
-				continue // another owner holds the copy; resolve remotely
-			}
-			s.writeFetchError(w, sd.id, err)
+			s.writeFetchError(w, id, err)
 			return
 		}
+		if tg.tr == nil && len(tg.remotes) == 0 {
+			s.writeNoLiveOwner(w, id)
+			return
+		}
+		sides[i] = tg
 	}
 
 	key := req.cacheKey()
-	if b, ok := s.results.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Memgazed-Cache", "hit")
-		w.Write(b)
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-
-	b, err, joined := s.flights.Do(r.Context(), key, func() ([]byte, error) {
-		return s.runDiff(sides[0], sides[1], &req, opts, key)
+	b, hit, err := s.cached(r.Context(), key, func() ([]byte, error) {
+		return s.runDiff(sides, &req, opts, key)
 	})
-	if joined {
-		s.metrics.coalesced.Add(1)
+	if err == nil && hit {
+		w.Header().Set("X-Memgazed-Cache", "hit")
 	}
 	s.writeAnalysisResult(w, b, err)
-}
-
-// diffSide is one side of a diff after routing: a locally fetched trace
-// (tr set), or an id whose Report comes from its live remote owners
-// (remotes set, in rendezvous order).
-type diffSide struct {
-	id      string
-	remotes []string // failover candidates when tr is nil
-	tr      *trace.Trace
-}
-
-// sideBytes resolves one diff side's marshalled Report: a locally held
-// side goes through the analyze cache/flight layer as always; a remote
-// side is a proxied analyze walking the side's live owners — same cache
-// key as a direct proxied analyze, so the sides and the analyze
-// endpoint share cached Reports both ways.
-func (s *Server) sideBytes(sd *diffSide, areq *AnalyzeRequest, opts []engine.Option) ([]byte, error) {
-	akey := areq.cacheKey(sd.id)
-	if sd.tr != nil {
-		b, _, err := s.analyzedBytes(s.baseCtx, sd.tr, akey, opts)
-		return b, err
-	}
-	s.metrics.clusterProxied["analyze"].Add(1) // a remote side is a proxied analyze
-	if b, ok := s.results.Get(akey); ok {
-		s.metrics.cacheHits.Add(1)
-		return b, nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	body, err := json.Marshal(areq)
-	if err != nil {
-		return nil, fmt.Errorf("marshalling side request: %w", err)
-	}
-	b, err, joined := s.flights.Do(s.baseCtx, akey, func() ([]byte, error) {
-		return s.fetchRemoteAnalysis(sd.remotes, "/v1/traces/"+sd.id+"/analyze", body, akey)
-	})
-	if joined {
-		s.metrics.coalesced.Add(1)
-	}
-	return b, err
 }
 
 // runDiff is the diff singleflight leader's work: obtain both sides'
@@ -163,23 +93,21 @@ func (s *Server) sideBytes(sd *diffSide, areq *AnalyzeRequest, opts []engine.Opt
 // Reports, and cache the marshalled DiffReport. Detached from the
 // requesting client like every flight leader; each side's engine run
 // bounds itself with the server request timeout.
-func (s *Server) runDiff(sideA, sideB *diffSide, req *DiffRequest, opts []engine.Option, key string) ([]byte, error) {
-	ba, err := s.sideBytes(sideA, &req.AnalyzeRequest, opts)
-	if err != nil {
-		return nil, err
+func (s *Server) runDiff(sides [2]*analyzeTarget, req *DiffRequest, opts []engine.Option, key string) ([]byte, error) {
+	var reps [2]engine.Report
+	for i, tg := range sides {
+		if tg.tr == nil {
+			s.metrics.clusterProxied["analyze"].Add(1) // a remote side is a proxied analyze
+		}
+		b, _, err := s.reportBytes(s.baseCtx, tg, &req.AnalyzeRequest, opts)
+		if err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(b, &reps[i]); err != nil {
+			return nil, fmt.Errorf("decoding report %s: %w", tg.id, err)
+		}
 	}
-	bb, err := s.sideBytes(sideB, &req.AnalyzeRequest, opts)
-	if err != nil {
-		return nil, err
-	}
-	var ra, rb engine.Report
-	if err := json.Unmarshal(ba, &ra); err != nil {
-		return nil, fmt.Errorf("decoding report %s: %w", req.A, err)
-	}
-	if err := json.Unmarshal(bb, &rb); err != nil {
-		return nil, fmt.Errorf("decoding report %s: %w", req.B, err)
-	}
-	d := diff.Diff(&ra, &rb, diff.WithTopK(req.TopK))
+	d := diff.Diff(&reps[0], &reps[1], diff.WithTopK(req.TopK))
 	b, err := json.Marshal(d)
 	if err != nil {
 		return nil, fmt.Errorf("marshalling diff: %w", err)

@@ -32,11 +32,11 @@ type TraceList struct {
 // listing comes from the disk index — the full corpus, not just what
 // happens to be hot — with each entry's tier telling clients whether a
 // read will hit memory; entries never decode MGTR bytes, the stored
-// Meta blob carries everything. In cluster mode an external listing
-// scatter-gathers every live peer's local page and merges in id order,
-// preserving the cursor contract across the fleet; a fleet-internal
-// request scopes to this replica's own corpus (that is the scatter
-// primitive).
+// Meta blob carries everything. An external listing scatter-gathers
+// every live peer's local page and merges in id order, preserving the
+// cursor contract across the fleet; a fleet-internal request scopes to
+// this replica's own corpus (that is the scatter primitive), as does a
+// cluster of one, which has no peers to gather from.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	limit := defaultListLimit
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -57,15 +57,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 
 	local, localMore := pageInfos(s.localInfos(tier), after, limit)
-	if s.cluster == nil || isInternal(r) {
-		if s.cluster != nil {
-			s.metrics.clusterLocal["list"].Add(1)
-		}
+	var peers []string
+	if !isInternal(r) {
+		peers = s.cluster.UpPeers()
+	}
+	if len(peers) == 0 {
+		// Nothing to gather: the merged page is the local page.
+		s.metrics.clusterLocal["list"].Add(1)
 		writeJSON(w, http.StatusOK, traceListOf(local, localMore))
 		return
 	}
 	s.metrics.clusterProxied["list"].Add(1)
-	s.scatterList(w, r, local, localMore, after, limit, tier)
+	s.scatterList(w, r, peers, local, localMore, after, limit, tier)
 }
 
 // localInfos snapshots this replica's own corpus as id-sorted
@@ -120,20 +123,19 @@ func traceListOf(page []TraceInfo, more bool) TraceList {
 }
 
 // scatterList merges this replica's local page with one local page from
-// every live peer. Each source returns at most limit entries after the
-// same cursor, so the merged, deduplicated, re-truncated page is exactly
-// what a single corpus holding the union would answer — the cursor is
-// the last returned id either way, which keeps ?after pagination exact
-// across the fleet. Peers that fail mid-gather are skipped: the listing
+// every live peer in peers. Each source returns at most limit entries
+// after the same cursor, so the merged, deduplicated, re-truncated page
+// is exactly what a single corpus holding the union would answer — the
+// cursor is the last returned id either way, which keeps ?after
+// pagination exact across the fleet. Peers that fail mid-gather are skipped: the listing
 // is best-effort over live replicas (and the transport marks them down
 // for the prober to readmit), matching the routing rule that a down
 // peer's keys are unreachable anyway.
-func (s *Server) scatterList(w http.ResponseWriter, r *http.Request, local []TraceInfo, localMore bool, after string, limit int, tier string) {
+func (s *Server) scatterList(w http.ResponseWriter, r *http.Request, peers []string, local []TraceInfo, localMore bool, after string, limit int, tier string) {
 	type peerPage struct {
 		traces []TraceInfo
 		more   bool
 	}
-	peers := s.cluster.UpPeers()
 	pages := make([]peerPage, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {

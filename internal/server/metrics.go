@@ -126,16 +126,16 @@ type Metrics struct {
 
 	// clusterProxied counts requests forwarded to an owner replica and
 	// clusterLocal the cluster-routed requests this replica owned — the
-	// fleet's routing split, by endpoint. Both stay zero (and their
-	// families unrendered) outside cluster mode.
+	// fleet's routing split, by endpoint. A cluster of one serves every
+	// request locally.
 	clusterProxied map[string]*atomic.Uint64
 	clusterLocal   map[string]*atomic.Uint64
 
 	// Replicated-ownership counters: upload fan-out copies attempted and
 	// failed, copies and tombstones pushed by the anti-entropy repair
 	// loop, and the last repair scan's count of ids with at least one
-	// owner missing its copy (or down). All stay zero outside cluster
-	// mode with replication > 1.
+	// owner missing its copy (or down). All stay zero unless replication
+	// is above 1.
 	replFanout          atomic.Uint64
 	replFanoutFailures  atomic.Uint64
 	replRepairCopies    atomic.Uint64
@@ -184,8 +184,8 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // exposition format. Families and label values are emitted in a fixed
 // order, so the output is deterministic up to the counter values. disk
 // may be nil (memory-only mode); the durable-tier families are then
-// omitted entirely rather than rendered as zeroes. cl may likewise be
-// nil (single-node mode), omitting the cluster families.
+// omitted entirely rather than rendered as zeroes. cl is never nil: a
+// cluster of one renders its routing split and a single peer_up line.
 func (m *Metrics) WritePrometheus(w io.Writer, store *Store, results *resultCache, disk *storage.Store, cl *cluster.Cluster) {
 	fmt.Fprint(w, "# HELP memgazed_requests_total Requests received, by endpoint.\n# TYPE memgazed_requests_total counter\n")
 	for _, ep := range endpoints {
@@ -253,41 +253,39 @@ func (m *Metrics) WritePrometheus(w io.Writer, store *Store, results *resultCach
 		fmt.Fprintf(w, "memgazed_disk_recovery_duration_seconds %s\n", fmtFloat(st.Recovery.Duration.Seconds()))
 	}
 
-	if cl != nil {
-		fmt.Fprint(w, "# HELP memgazed_cluster_proxied_requests_total Requests proxied to the owner replica, by endpoint.\n# TYPE memgazed_cluster_proxied_requests_total counter\n")
-		for _, ep := range clusterEndpoints {
-			fmt.Fprintf(w, "memgazed_cluster_proxied_requests_total{endpoint=%q} %d\n", ep, m.clusterProxied[ep].Load())
+	fmt.Fprint(w, "# HELP memgazed_cluster_proxied_requests_total Requests proxied to the owner replica, by endpoint.\n# TYPE memgazed_cluster_proxied_requests_total counter\n")
+	for _, ep := range clusterEndpoints {
+		fmt.Fprintf(w, "memgazed_cluster_proxied_requests_total{endpoint=%q} %d\n", ep, m.clusterProxied[ep].Load())
+	}
+	fmt.Fprint(w, "# HELP memgazed_cluster_local_requests_total Cluster-routed requests served by this replica, by endpoint.\n# TYPE memgazed_cluster_local_requests_total counter\n")
+	for _, ep := range clusterEndpoints {
+		fmt.Fprintf(w, "memgazed_cluster_local_requests_total{endpoint=%q} %d\n", ep, m.clusterLocal[ep].Load())
+	}
+	fmt.Fprint(w, "# HELP memgazed_cluster_replication_fanout_total Upload fan-out copies attempted to secondary owners.\n# TYPE memgazed_cluster_replication_fanout_total counter\n")
+	fmt.Fprintf(w, "memgazed_cluster_replication_fanout_total %d\n", m.replFanout.Load())
+	fmt.Fprint(w, "# HELP memgazed_cluster_replication_fanout_failures_total Upload fan-out copies that failed (healed later by repair).\n# TYPE memgazed_cluster_replication_fanout_failures_total counter\n")
+	fmt.Fprintf(w, "memgazed_cluster_replication_fanout_failures_total %d\n", m.replFanoutFailures.Load())
+	fmt.Fprint(w, "# HELP memgazed_cluster_replication_repair_copies_total Trace copies pushed to under-replicated owners by the repair loop.\n# TYPE memgazed_cluster_replication_repair_copies_total counter\n")
+	fmt.Fprintf(w, "memgazed_cluster_replication_repair_copies_total %d\n", m.replRepairCopies.Load())
+	fmt.Fprint(w, "# HELP memgazed_cluster_replication_repair_tombstones_total Tombstones propagated between owners by the repair loop.\n# TYPE memgazed_cluster_replication_repair_tombstones_total counter\n")
+	fmt.Fprintf(w, "memgazed_cluster_replication_repair_tombstones_total %d\n", m.replRepairTombs.Load())
+	fmt.Fprint(w, "# HELP memgazed_cluster_replication_underreplicated Ids missing at least one owner copy at the last repair scan.\n# TYPE memgazed_cluster_replication_underreplicated gauge\n")
+	fmt.Fprintf(w, "memgazed_cluster_replication_underreplicated %d\n", m.replUnderReplicated.Load())
+	st := cl.Status()
+	fmt.Fprint(w, "# HELP memgazed_cluster_peer_up Peer liveness from the readyz prober (1 = serving).\n# TYPE memgazed_cluster_peer_up gauge\n")
+	for _, p := range st {
+		up := 0
+		if p.Up {
+			up = 1
 		}
-		fmt.Fprint(w, "# HELP memgazed_cluster_local_requests_total Cluster-routed requests served by this replica, by endpoint.\n# TYPE memgazed_cluster_local_requests_total counter\n")
-		for _, ep := range clusterEndpoints {
-			fmt.Fprintf(w, "memgazed_cluster_local_requests_total{endpoint=%q} %d\n", ep, m.clusterLocal[ep].Load())
+		fmt.Fprintf(w, "memgazed_cluster_peer_up{peer=%q} %d\n", p.Name, up)
+	}
+	fmt.Fprint(w, "# HELP memgazed_cluster_probe_latency_seconds Last readyz probe round-trip per peer.\n# TYPE memgazed_cluster_probe_latency_seconds gauge\n")
+	for _, p := range st {
+		if p.Self {
+			continue // self is never probed
 		}
-		fmt.Fprint(w, "# HELP memgazed_cluster_replication_fanout_total Upload fan-out copies attempted to secondary owners.\n# TYPE memgazed_cluster_replication_fanout_total counter\n")
-		fmt.Fprintf(w, "memgazed_cluster_replication_fanout_total %d\n", m.replFanout.Load())
-		fmt.Fprint(w, "# HELP memgazed_cluster_replication_fanout_failures_total Upload fan-out copies that failed (healed later by repair).\n# TYPE memgazed_cluster_replication_fanout_failures_total counter\n")
-		fmt.Fprintf(w, "memgazed_cluster_replication_fanout_failures_total %d\n", m.replFanoutFailures.Load())
-		fmt.Fprint(w, "# HELP memgazed_cluster_replication_repair_copies_total Trace copies pushed to under-replicated owners by the repair loop.\n# TYPE memgazed_cluster_replication_repair_copies_total counter\n")
-		fmt.Fprintf(w, "memgazed_cluster_replication_repair_copies_total %d\n", m.replRepairCopies.Load())
-		fmt.Fprint(w, "# HELP memgazed_cluster_replication_repair_tombstones_total Tombstones propagated between owners by the repair loop.\n# TYPE memgazed_cluster_replication_repair_tombstones_total counter\n")
-		fmt.Fprintf(w, "memgazed_cluster_replication_repair_tombstones_total %d\n", m.replRepairTombs.Load())
-		fmt.Fprint(w, "# HELP memgazed_cluster_replication_underreplicated Ids missing at least one owner copy at the last repair scan.\n# TYPE memgazed_cluster_replication_underreplicated gauge\n")
-		fmt.Fprintf(w, "memgazed_cluster_replication_underreplicated %d\n", m.replUnderReplicated.Load())
-		st := cl.Status()
-		fmt.Fprint(w, "# HELP memgazed_cluster_peer_up Peer liveness from the readyz prober (1 = serving).\n# TYPE memgazed_cluster_peer_up gauge\n")
-		for _, p := range st {
-			up := 0
-			if p.Up {
-				up = 1
-			}
-			fmt.Fprintf(w, "memgazed_cluster_peer_up{peer=%q} %d\n", p.Name, up)
-		}
-		fmt.Fprint(w, "# HELP memgazed_cluster_probe_latency_seconds Last readyz probe round-trip per peer.\n# TYPE memgazed_cluster_probe_latency_seconds gauge\n")
-		for _, p := range st {
-			if p.Self {
-				continue // self is never probed
-			}
-			fmt.Fprintf(w, "memgazed_cluster_probe_latency_seconds{peer=%q} %s\n", p.Name, fmtFloat(p.ProbeLatency.Seconds()))
-		}
+		fmt.Fprintf(w, "memgazed_cluster_probe_latency_seconds{peer=%q} %s\n", p.Name, fmtFloat(p.ProbeLatency.Seconds()))
 	}
 
 	fmt.Fprint(w, "# HELP memgazed_analysis_duration_seconds Engine time per completed analysis.\n# TYPE memgazed_analysis_duration_seconds summary\n")

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/memgaze/memgaze-go/internal/cluster"
 )
 
 // TestHistogramBuckets pins bucket assignment and the cumulative
@@ -57,9 +59,15 @@ func TestPrometheusRendering(t *testing.T) {
 	m.ObserveAnalysis("mrc", 5*time.Millisecond)
 	m.ObserveAnalysis("not-an-analysis", time.Second) // ignored, no panic
 
+	cl, err := cluster.New(cluster.Config{Self: "localhost", Peers: []string{"localhost"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
 	var b1, b2 strings.Builder
-	m.WritePrometheus(&b1, store, rc, nil, nil)
-	m.WritePrometheus(&b2, store, rc, nil, nil)
+	m.WritePrometheus(&b1, store, rc, nil, cl)
+	m.WritePrometheus(&b2, store, rc, nil, cl)
 	out := b1.String()
 	if out != b2.String() {
 		t.Error("rendering is not deterministic")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +17,9 @@ import (
 // ownership: deciding, per request, whether this replica is among the
 // addressed key's owners, fanning writes out to the other owners, and
 // failing reads over along the key's rendezvous order when the leading
-// owner is down. The ring itself (rendezvous hashing, membership, the
+// owner is down. A memgazed without peers is a cluster of one — a
+// self-only ring that owns every key — so every request takes these
+// paths. The ring itself (rendezvous hashing, membership, the
 // retrying transport) lives in internal/cluster; here is only the HTTP
 // glue — relay semantics, the peer_unavailable contract, and the
 // replica-local result cache in front of proxied analyses. See
@@ -31,8 +34,10 @@ func isInternal(r *http.Request) bool { return r.Header.Get(cluster.PeerHeader) 
 
 // headerUploaded carries the original upload time on fleet-internal
 // writes — fan-out copies and repair pushes — so every replica of a
-// trace agrees on its metadata. Honoured only on internal requests;
-// clients cannot backdate uploads.
+// trace agrees on its metadata. Honoured only on internal requests. The
+// peer header is not authentication — isInternal trusts any non-empty
+// value, so a client that sets it can backdate an upload — and memgazed
+// assumes a trusted network.
 const headerUploaded = "X-Memgazed-Uploaded"
 
 // internalUploadTime extracts the propagated upload time of an internal
@@ -64,9 +69,12 @@ type routePlan struct {
 }
 
 // ownerPlan computes the replicated routing plan for id without
-// touching the per-endpoint metrics (diff sides account as proxied
-// analyzes inside sideBytes instead).
-func (s *Server) ownerPlan(id string) routePlan {
+// touching the per-endpoint metrics. A fleet-internal request is always
+// served from the local corpus: plan{local: true}, with no remotes.
+func (s *Server) ownerPlan(r *http.Request, id string) routePlan {
+	if isInternal(r) {
+		return routePlan{local: true}
+	}
 	var plan routePlan
 	for _, o := range s.cluster.Owners(id) {
 		if s.cluster.IsSelf(o) {
@@ -79,19 +87,18 @@ func (s *Server) ownerPlan(id string) routePlan {
 }
 
 // planRoute makes the routing decision for a key-addressed request and
-// counts it into the cluster routing-split metrics under endpoint. ok
-// is false when no owner of the key is live anywhere — the
+// counts an external one into the cluster routing-split metrics under
+// endpoint. ok is false when no owner of the key is live anywhere — the
 // peer_unavailable contract (writeNoLiveOwner) is then the only answer
 // left, modulo locally cached results.
 func (s *Server) planRoute(r *http.Request, endpoint, id string) (plan routePlan, ok bool) {
-	if s.cluster == nil || isInternal(r) {
-		return routePlan{local: true}, true
-	}
-	plan = s.ownerPlan(id)
-	if plan.local {
-		s.metrics.clusterLocal[endpoint].Add(1)
-	} else {
-		s.metrics.clusterProxied[endpoint].Add(1)
+	plan = s.ownerPlan(r, id)
+	if !isInternal(r) {
+		if plan.local {
+			s.metrics.clusterLocal[endpoint].Add(1)
+		} else {
+			s.metrics.clusterProxied[endpoint].Add(1)
+		}
 	}
 	return plan, plan.local || len(plan.remotes) > 0
 }
@@ -105,60 +112,55 @@ func (s *Server) writeNoLiveOwner(w http.ResponseWriter, id string) {
 		"every replica owning trace %q is down", id)
 }
 
-// writePeerUnavailable answers the transport-failure form of the
-// peer_unavailable contract: the owners believed live did not answer.
-func (s *Server) writePeerUnavailable(w http.ResponseWriter, peer string, err error) {
-	writeError(w, http.StatusServiceUnavailable, ErrCodePeerUnavailable,
-		"replica %s did not answer and no other owner of this key is live: %v", peer, err)
+// askOwners is the owner failover walk: it sends one fleet-internal
+// request to the live owners in rendezvous order and returns the first
+// response that is not a 404, unread, with the index of the owner that
+// gave it. A transport failure or a 404 moves on to the next owner (an
+// owner that missed the upload fan-out simply does not have the copy
+// yet; another one may). When every owner that answered said 404 the
+// last 404 is the answer — the fleet genuinely never stored the key —
+// with its body buffered; when nobody answered at all, down says why.
+// The caller closes resp.Body.
+func (s *Server) askOwners(ctx context.Context, owners []string, method, path string, hdr http.Header, body []byte) (resp *http.Response, at int, down *peerDownError) {
+	down = &peerDownError{peer: "owners", cause: errNoLiveOwner}
+	var notFound *http.Response
+	for i, o := range owners {
+		rt, err := s.cluster.Roundtrip(ctx, o, method, path, hdr, body)
+		if err != nil {
+			down = &peerDownError{peer: o, cause: err}
+			continue
+		}
+		if rt.StatusCode != http.StatusNotFound {
+			return rt, i, nil
+		}
+		b, _ := io.ReadAll(rt.Body)
+		rt.Body.Close()
+		rt.Body = io.NopCloser(bytes.NewReader(b))
+		notFound, at = rt, i
+	}
+	if notFound != nil {
+		return notFound, at, nil
+	}
+	return nil, 0, down
 }
 
 // relayFirst forwards the request verbatim — method, path, query, and
 // headers, so conditional-request headers like If-None-Match keep
-// working through the proxy — to the first candidate that answers,
-// walking the key's live owners in rendezvous order. A 404 cascades to
-// the next owner (an owner that missed the upload fan-out simply does
-// not have the copy yet; another one does), as does a transport
-// failure; any other response — 200, 304, 410, 503 — is the answer and
-// relays as-is. All-owners-404 relays the last 404 (the fleet genuinely
-// never stored the key); nobody answering at all is peer_unavailable.
-func (s *Server) relayFirst(w http.ResponseWriter, r *http.Request, candidates []string, id string) {
+// working through the proxy — along the owner walk. The answer — 200,
+// 304, 404, 410, 503 — relays as-is and streams: a /raw body is never
+// buffered here; nobody answering at all is peer_unavailable.
+func (s *Server) relayFirst(w http.ResponseWriter, r *http.Request, owners []string) {
 	path := r.URL.Path
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	var notFound *http.Response // last drained 404, replayed if nobody has the key
-	var notFoundBody []byte
-	var lastPeer string
-	var lastErr error
-	for _, p := range candidates {
-		resp, err := s.cluster.Roundtrip(r.Context(), p, r.Method, path, r.Header, nil)
-		if err != nil {
-			lastPeer, lastErr = p, err
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			notFound, notFoundBody = resp, b
-			continue
-		}
-		defer resp.Body.Close()
-		relayResponse(w, resp)
+	resp, _, down := s.askOwners(r.Context(), owners, r.Method, path, r.Header, nil)
+	if down != nil {
+		down.write(w)
 		return
 	}
-	if notFound != nil {
-		for k, vs := range notFound.Header {
-			w.Header()[k] = vs
-		}
-		w.WriteHeader(notFound.StatusCode)
-		w.Write(notFoundBody)
-		return
-	}
-	if lastErr != nil {
-		s.writePeerUnavailable(w, lastPeer, lastErr)
-		return
-	}
-	s.writeNoLiveOwner(w, id)
+	defer resp.Body.Close()
+	relayResponse(w, resp)
 }
 
 // relayResponse copies an owner's answer — status, headers, body — onto
@@ -194,9 +196,9 @@ func (e *relayError) write(w http.ResponseWriter) {
 	w.Write(e.body)
 }
 
-// peerDownError carries a proxy transport failure through the
-// singleflight layer; writeAnalysisResult maps it onto the
-// peer_unavailable contract.
+// peerDownError is the transport-failure form of the peer_unavailable
+// contract: the owners believed live did not answer. It travels through
+// the singleflight layer as an error; write answers it.
 type peerDownError struct {
 	peer  string
 	cause error
@@ -208,144 +210,63 @@ func (e *peerDownError) Error() string {
 
 func (e *peerDownError) Unwrap() error { return e.cause }
 
-// errNoLiveOwner is the cause carried when an analyze has no live owner
-// left to ask.
-var errNoLiveOwner = fmt.Errorf("no live owner")
-
-// proxyAnalyzeRequest handles an analyze whose trace this replica does
-// not hold: the request body parses locally (its errors are ours to
-// answer — the same 400s a local analyze gives), and the report comes
-// from the key's live owners through the replica-local result cache and
-// the singleflight group, so repeated proxied analyses are local cache
-// hits and concurrent ones collapse to one owner round-trip. owners may
-// be empty — a cached report still serves with every owner down; only
-// an uncached one is peer_unavailable then.
-func (s *Server) proxyAnalyzeRequest(w http.ResponseWriter, r *http.Request, owners []string, id string) {
-	var req AnalyzeRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "request: %v", err)
-			return
-		}
-	}
-	if _, err := req.engineOptions(); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeUnknownAnalysis, "%v", err)
-		return
-	}
-	key := req.cacheKey(id)
-	if b, ok := s.results.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Memgazed-Cache", "hit")
-		w.Write(b)
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-	b, err, joined := s.flights.Do(r.Context(), key, func() ([]byte, error) {
-		return s.fetchRemoteAnalysis(owners, "/v1/traces/"+id+"/analyze", body, key)
-	})
-	if joined {
-		s.metrics.coalesced.Add(1)
-	}
-	s.writeAnalysisResult(w, b, err)
+func (e *peerDownError) write(w http.ResponseWriter) {
+	writeError(w, http.StatusServiceUnavailable, ErrCodePeerUnavailable,
+		"replica %s did not answer and no other owner of this key is live: %v", e.peer, e.cause)
 }
 
-// fetchRemoteAnalysis is the proxied-analyze singleflight leader's
-// work: POST to the key's live owners in rendezvous order — cascading
-// past transport failures and 404s (an owner that missed the fan-out)
-// to the next owner — under the cluster request timeout, detached from
+// errNoLiveOwner is the cause carried when the owner walk had no live
+// owner to ask.
+var errNoLiveOwner = fmt.Errorf("no live owner")
+
+// fetchRemoteAnalysis is the analyze flight leader's work when this
+// replica holds no copy: POST the analyze body to id's live owners
+// along the owner walk under the cluster request timeout, detached from
 // any single client (s.baseCtx, like every flight leader). A 200 report
 // populates the local result cache under the same key a local analyze
 // would use, which is what makes the cache replica-local rather than
-// owner-only. A 410 is authoritative (the trace was deleted) and does
-// not cascade.
-func (s *Server) fetchRemoteAnalysis(owners []string, path string, body []byte, key string) ([]byte, error) {
+// owner-only. Any other answer — a 410 tombstone, the fleet-wide 404 —
+// is the owner's envelope, replayed verbatim.
+func (s *Server) fetchRemoteAnalysis(owners []string, id string, body []byte, key string) ([]byte, error) {
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	var notFound *relayError
-	var lastPeer string
-	var lastErr error
-	for _, owner := range owners {
-		resp, err := s.cluster.Roundtrip(s.baseCtx, owner, http.MethodPost, path, hdr, body)
-		if err != nil {
-			lastPeer, lastErr = owner, err
-			continue
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastPeer, lastErr = owner, err
-			continue
-		}
-		re := &relayError{
-			status:      resp.StatusCode,
-			contentType: resp.Header.Get("Content-Type"),
-			body:        b,
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			notFound = re
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, re
-		}
-		s.results.Put(key, b)
-		return b, nil
+	resp, at, down := s.askOwners(s.baseCtx, owners, http.MethodPost, "/v1/traces/"+id+"/analyze", hdr, body)
+	if down != nil {
+		return nil, down
 	}
-	if notFound != nil {
-		return nil, notFound
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, &peerDownError{peer: owners[at], cause: err}
 	}
-	if lastErr != nil {
-		return nil, &peerDownError{peer: lastPeer, cause: lastErr}
+	if resp.StatusCode != http.StatusOK {
+		return nil, &relayError{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: b}
 	}
-	return nil, &peerDownError{peer: "owners", cause: errNoLiveOwner}
+	s.results.Put(key, b)
+	return b, nil
 }
 
 // forwardUpload lands an upload whose content hash this replica does
 // not own. The expensive part — a PT capture's decode and build —
 // already ran here on the receiving replica; only enc, the built
 // trace's canonical MGTR encoding, travels, as internal POST
-// /v1/traces calls: the first live owner to accept it is the durable
-// ack the client's 201 stands on (quorum = 1), the remaining owners
-// get best-effort fan-out copies stamped with the ack's upload time,
-// and any owner the fan-out missed is healed later by the anti-entropy
-// repair loop. The ack's verdict (created vs deduplicated) relays back
-// with the local build accounting re-attached, so clients cannot tell
-// routed uploads from direct ones.
+// /v1/traces calls along the owner walk: the first live owner to accept
+// it is the durable ack the client's 201 stands on (quorum = 1), the
+// owners after it get best-effort fan-out copies stamped with the ack's
+// upload time, and any owner the fan-out missed is healed later by the
+// anti-entropy repair loop. The ack's verdict (created vs deduplicated)
+// relays back with the local build accounting re-attached, so clients
+// cannot tell routed uploads from direct ones.
 func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []string, id string, enc []byte, ds *pt.DecodeStats) {
 	hdr := http.Header{"Content-Type": []string{ContentTypeTrace}}
-	var resp *http.Response
-	var body []byte
-	var rest []string // owners still to replicate after the ack
-	var lastPeer string
-	var lastErr error
-	for i, o := range owners {
-		rt, err := s.cluster.Roundtrip(r.Context(), o, http.MethodPost, "/v1/traces", hdr, enc)
-		if err != nil {
-			lastPeer, lastErr = o, err
-			continue
-		}
-		b, err := io.ReadAll(rt.Body)
-		rt.Body.Close()
-		if err != nil {
-			lastPeer, lastErr = o, err
-			continue
-		}
-		resp, body, rest = rt, b, owners[i+1:]
-		break
+	resp, at, down := s.askOwners(r.Context(), owners, http.MethodPost, "/v1/traces", hdr, enc)
+	if down != nil {
+		down.write(w)
+		return
 	}
-	if resp == nil {
-		if lastErr != nil {
-			s.writePeerUnavailable(w, lastPeer, lastErr)
-		} else {
-			s.writeNoLiveOwner(w, id)
-		}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		(&peerDownError{peer: owners[at], cause: err}).write(w)
 		return
 	}
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
@@ -357,7 +278,7 @@ func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "owner answered unparseable info: %v", err)
 		return
 	}
-	s.fanoutUpload(enc, info.Uploaded, rest)
+	s.fanoutUpload(enc, info.Uploaded, owners[at+1:])
 	info.Decode = ds // the capture decoded here; the owner never saw it
 	w.Header().Set("Location", "/v1/traces/"+id)
 	writeJSON(w, resp.StatusCode, info)
@@ -368,9 +289,9 @@ func (s *Server) forwardUpload(w http.ResponseWriter, r *http.Request, owners []
 // every copy carries identical metadata. Failures only count — the
 // durable ack already happened, and the repair loop re-replicates when
 // the owner comes back. Detached from the client (s.baseCtx): a client
-// disconnecting after its ack must not strand a copy. A no-op for
-// single-node, fleet-internal (the acking owner already fans out), and
-// replication-1 requests: planRoute leaves no remotes for all three.
+// disconnecting after its ack must not strand a copy. A no-op for a
+// cluster of one, fleet-internal requests (the acking owner already fans
+// out), and replication 1: planRoute leaves no remotes for all three.
 func (s *Server) fanoutUpload(enc []byte, uploaded time.Time, owners []string) {
 	if len(owners) == 0 {
 		return
@@ -395,7 +316,8 @@ func (s *Server) fanoutUpload(enc []byte, uploaded time.Time, owners []string) {
 }
 
 // clusterDelete applies a DELETE to every live owner of id — the local
-// corpus when this replica is one, fleet-internal DELETEs to the rest —
+// corpus when this replica is one (the whole plan for a cluster of one
+// or a fleet-internal request), fleet-internal DELETEs to the rest —
 // and answers the strongest outcome: tombstoning on any live owner is a
 // success even if another owner is down, because the repair loop
 // propagates the tombstone when it rejoins. Outcome rank: 204 (deleted
@@ -414,11 +336,9 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, plan rout
 			return 0
 		}
 	}
-	best := 0
+	best := 0 // 0 until at least one owner actually processed the delete
 	var bestErr error
-	answered := false // at least one owner actually processed the delete
 	record := func(status int, err error) {
-		answered = true
 		if best == 0 || rank(status) > rank(best) {
 			best, bestErr = status, err
 		}
@@ -426,24 +346,21 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, plan rout
 	if plan.local {
 		record(s.deleteLocal(id))
 	}
-	var lastPeer string
-	var lastErr error
+	var down *peerDownError
 	for _, o := range plan.remotes {
 		resp, err := s.cluster.Roundtrip(r.Context(), o, http.MethodDelete, r.URL.Path, nil, nil)
 		if err != nil {
-			lastPeer, lastErr = o, err
+			down = &peerDownError{peer: o, cause: err}
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		record(resp.StatusCode, fmt.Errorf("owner %s answered %d", o, resp.StatusCode))
 	}
-	if !answered {
-		if lastErr != nil {
-			s.writePeerUnavailable(w, lastPeer, lastErr)
-		} else {
-			s.writeNoLiveOwner(w, id)
-		}
+	if best == 0 {
+		// planRoute guarantees a local or remote owner, so nobody
+		// answering means every remote one failed in transport.
+		down.write(w)
 		return
 	}
 	if best == http.StatusNoContent {

@@ -50,7 +50,7 @@ func (s *Server) repairLoop(interval time.Duration) {
 // shutdown aborts the round.
 func (s *Server) repairNow() repairStats {
 	var st repairStats
-	if s.cluster == nil || s.cluster.Replication() < 2 {
+	if s.cluster.Replication() < 2 {
 		return st
 	}
 	for _, id := range s.localIDs() {

@@ -85,6 +85,11 @@ func TestClusterReplicatedFailover(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, encA) {
 				t.Fatalf("kill %d: raw via %s = %d (%d bytes)", k, vantage.addr, resp.StatusCode, len(raw))
 			}
+			resp, _ = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+idA+"/raw",
+				http.Header{"If-None-Match": []string{`"` + idA + `"`}}, nil)
+			if resp.StatusCode != http.StatusNotModified {
+				t.Fatalf("kill %d: conditional raw via %s = %d, want 304", k, vantage.addr, resp.StatusCode)
+			}
 			resp, body := doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+idA, nil, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("kill %d: get via %s = %d: %s", k, vantage.addr, resp.StatusCode, body)
@@ -333,4 +338,128 @@ func TestScatterListDedupPrefersHot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOwnerWalkFirstOwnerStates pins the one owner failover walk that
+// get, raw, analyze, and the upload forward share, on a 3-replica fleet
+// at replication 2, for each state of a key's first owner: it lacks the
+// copy (404: walk on), it is down but still believed live (transport
+// failure: walk on), or it holds a tombstone (410: the answer). Every
+// request goes through the non-owner, whose walk starts at the first
+// owner. When every owner answers 404 the fleet's answer is 404.
+func TestOwnerWalkFirstOwnerStates(t *testing.T) {
+	tr := testTrace(5, 30)
+	enc, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := tr.Hash()
+	_, ref := newTestServer(t, Config{})
+	uploadTrace(t, ref.URL, tr)
+	resp, refReport := postAnalyze(t, ref.URL, id, `{"analyses":["mrc"]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reference analyze: %d: %s", resp.StatusCode, refReport)
+	}
+	conditional := http.Header{"If-None-Match": []string{`"` + id + `"`}}
+
+	for _, c := range []struct {
+		name string
+		// setup leaves the trace on the second owner and puts the first
+		// in the case's state.
+		setup func(t *testing.T, reps []*fleetReplica, first, vantage *fleetReplica)
+		// status is the get/raw/analyze answer, code its error code;
+		// notModified is the conditional raw answer.
+		status      int
+		code        string
+		notModified int
+		// upload is the answer to re-uploading the trace, and holder the
+		// owner that must have acked it: 0 first, 1 second.
+		upload int
+		holder int
+	}{
+		{"first owner lacks the copy", func(t *testing.T, reps []*fleetReplica, first, vantage *fleetReplica) {
+			first.stop()
+			uploadTrace(t, vantage.url(), tr) // the walk skips the dead first owner
+			first.start(t, nil)
+			probeAll(reps)
+			if hasLocal(first, id) {
+				t.Fatal("first owner holds the copy it was down for")
+			}
+		}, http.StatusOK, "", http.StatusNotModified, http.StatusCreated, 0},
+		{"first owner down", func(t *testing.T, reps []*fleetReplica, first, vantage *fleetReplica) {
+			uploadTrace(t, vantage.url(), tr)
+			first.stop() // no probe: the vantage still believes it live
+		}, http.StatusOK, "", http.StatusNotModified, http.StatusOK, 1},
+		{"first owner tombstoned", func(t *testing.T, reps []*fleetReplica, first, vantage *fleetReplica) {
+			uploadTrace(t, vantage.url(), tr)
+			resp, body := doReq(t, http.MethodDelete, first.url()+"/v1/traces/"+id,
+				http.Header{cluster.PeerHeader: []string{"http://tester"}}, nil)
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("tombstoning the first owner: %d: %s", resp.StatusCode, body)
+			}
+		}, http.StatusGone, ErrCodeTraceDeleted, http.StatusGone, http.StatusCreated, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reps := newFleet(t, 3)
+			owners, others := ownersOf(t, reps, id, 2)
+			vantage := others[0]
+			c.setup(t, reps, owners[0], vantage)
+
+			check := func(what string, resp *http.Response, body []byte, status int) {
+				t.Helper()
+				if resp.StatusCode != status {
+					t.Fatalf("%s = %d, want %d: %s", what, resp.StatusCode, status, body)
+				}
+				if status >= 400 && errCode(t, body) != c.code {
+					t.Fatalf("%s code = %q, want %q", what, errCode(t, body), c.code)
+				}
+			}
+			resp, body := doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id, nil, nil)
+			check("get", resp, body, c.status)
+			resp, body = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id+"/raw", nil, nil)
+			check("raw", resp, body, c.status)
+			if c.status == http.StatusOK && !bytes.Equal(body, enc) {
+				t.Fatalf("raw: %d bytes differ from the upload", len(body))
+			}
+			resp, body = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id+"/raw", conditional, nil)
+			check("conditional raw", resp, body, c.notModified)
+			resp, body = postAnalyze(t, vantage.url(), id, `{"analyses":["mrc"]}`)
+			check("analyze", resp, body, c.status)
+			if c.status == http.StatusOK && !bytes.Equal(body, refReport) {
+				t.Fatal("analyze differs from the single-node report")
+			}
+
+			resp, body = doReq(t, http.MethodPost, vantage.url()+"/v1/traces",
+				http.Header{"Content-Type": []string{ContentTypeTrace}}, enc)
+			if resp.StatusCode != c.upload {
+				t.Fatalf("upload forward = %d, want %d: %s", resp.StatusCode, c.upload, body)
+			}
+			if !hasLocal(owners[c.holder], id) {
+				t.Fatalf("owner %d did not ack the forwarded upload", c.holder)
+			}
+			resp, body = doReq(t, http.MethodGet, vantage.url()+"/v1/traces/"+id+"/raw", nil, nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, enc) {
+				t.Fatalf("raw after the upload forward = %d, %d bytes", resp.StatusCode, len(body))
+			}
+		})
+	}
+
+	// A key no owner holds: every owner answers 404, and so does every
+	// vantage — a non-owner after walking both owners, an owner after
+	// asking the other.
+	t.Run("every owner lacks the key", func(t *testing.T) {
+		reps := newFleet(t, 3)
+		for _, fr := range reps {
+			for _, path := range []string{"/v1/traces/" + id, "/v1/traces/" + id + "/raw"} {
+				resp, body := doReq(t, http.MethodGet, fr.url()+path, nil, nil)
+				if resp.StatusCode != http.StatusNotFound || errCode(t, body) != ErrCodeTraceNotFound {
+					t.Fatalf("GET %s via %s = %d %s", path, fr.addr, resp.StatusCode, body)
+				}
+			}
+			resp, body := postAnalyze(t, fr.url(), id, `{"analyses":["mrc"]}`)
+			if resp.StatusCode != http.StatusNotFound || errCode(t, body) != ErrCodeTraceNotFound {
+				t.Fatalf("analyze via %s = %d %s", fr.addr, resp.StatusCode, body)
+			}
+		}
+	})
 }

@@ -82,11 +82,13 @@ type Config struct {
 	// fleet: the full replica set's advertise addresses, this replica's
 	// included. Every replica must be configured with the same set —
 	// trace ownership is a pure rendezvous-hash function of it. Empty
-	// keeps single-node mode.
+	// makes this replica a cluster of one: a self-only ring that owns
+	// every key.
 	Peers []string
 	// Advertise is this replica's own address exactly as it appears in
 	// Peers (required when Peers is set; spellings normalize, so
-	// "host:port" matches "http://host:port").
+	// "host:port" matches "http://host:port"). A cluster of one names
+	// itself by it, or "localhost" when it is empty.
 	Advertise string
 	// ProbeInterval is the peer readyz prober's period (default 2s;
 	// negative disables the background loop — tests drive probes
@@ -99,8 +101,8 @@ type Config struct {
 	// through to the top-Replication peers of the id's rendezvous order
 	// (quorum = 1 durable ack, best-effort fan-out to the rest) and
 	// reads fail over along it (default 2, clamped to the peer count;
-	// 1 reproduces the single-owner fast-fail ring; only meaningful
-	// with Peers set).
+	// at 1 the failover walk covers a one-owner list, so a down owner
+	// answers peer_unavailable; only meaningful with Peers set).
 	Replication int
 	// RepairInterval is the anti-entropy repair loop's period: each
 	// round re-replicates under-replicated ids to rejoined owners and
@@ -156,7 +158,7 @@ type Server struct {
 	cfg     Config
 	store   *Store
 	disk    *storage.Store   // durable tier; nil in memory-only mode
-	cluster *cluster.Cluster // fleet membership + proxy; nil single-node
+	cluster *cluster.Cluster // fleet membership + proxy; self-only without Peers
 	results *resultCache
 	flights *flightGroup
 	metrics *Metrics
@@ -198,24 +200,31 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.disk = disk
 	}
-	if len(cfg.Peers) > 0 {
-		cl, err := cluster.New(cluster.Config{
-			Self:           cfg.Advertise,
-			Peers:          cfg.Peers,
-			Replication:    cfg.Replication,
-			ProbeInterval:  cfg.ProbeInterval,
-			RequestTimeout: cfg.PeerTimeout,
-		})
-		if err != nil {
-			if s.disk != nil {
-				s.disk.Close()
-			}
-			return nil, err
+	self, peers := cfg.Advertise, cfg.Peers
+	if len(peers) == 0 {
+		// A single node is a cluster of one: a self-only ring owns every
+		// key, so every request routes the way a fleet's does.
+		if self == "" {
+			self = "localhost"
 		}
-		s.cluster = cl
+		peers = []string{self}
 	}
+	cl, err := cluster.New(cluster.Config{
+		Self:           self,
+		Peers:          peers,
+		Replication:    cfg.Replication,
+		ProbeInterval:  cfg.ProbeInterval,
+		RequestTimeout: cfg.PeerTimeout,
+	})
+	if err != nil {
+		if s.disk != nil {
+			s.disk.Close()
+		}
+		return nil, err
+	}
+	s.cluster = cl
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if s.cluster != nil && s.cluster.Replication() > 1 && cfg.RepairInterval > 0 {
+	if s.cluster.Replication() > 1 && cfg.RepairInterval > 0 {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
@@ -271,9 +280,7 @@ func (s *Server) Close() {
 	s.baseCancel()
 	close(s.quit)
 	s.workers.Wait()
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
+	s.cluster.Close()
 	if s.disk != nil {
 		s.disk.Close()
 	}
@@ -739,25 +746,8 @@ func etagMatch(header, etag string) bool {
 // encoding straight into the response via Trace.WriteTo —
 // Content-Length is known from stored accounting, nothing is buffered.
 func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	plan, ok := s.planRoute(r, "raw", id)
+	id, info, ok := s.localInfo(w, r, "raw")
 	if !ok {
-		s.writeNoLiveOwner(w, id)
-		return
-	}
-	if !plan.local {
-		s.relayFirst(w, r, plan.remotes, id)
-		return
-	}
-	info, err := s.infoFor(id)
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) && len(plan.remotes) > 0 {
-			// An owner too, but the copy has not landed here (yet):
-			// another owner has it.
-			s.relayFirst(w, r, plan.remotes, id)
-			return
-		}
-		s.writeFetchError(w, id, err)
 		return
 	}
 	etag := `"` + id + `"`
@@ -780,26 +770,35 @@ func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	plan, ok := s.planRoute(r, "get", id)
-	if !ok {
+	if _, info, ok := s.localInfo(w, r, "get"); ok {
+		writeJSON(w, http.StatusOK, info)
+	}
+}
+
+// localInfo is the shared prelude of GET /v1/traces/{id} and its /raw
+// twin: route the request, and answer from local metadata when this
+// replica owns the trace and holds it. Otherwise it relays the request
+// along the owner walk — an owner whose copy has not landed (yet) falls
+// back to the others — or answers the error itself, and ok is false.
+func (s *Server) localInfo(w http.ResponseWriter, r *http.Request, endpoint string) (id string, info TraceInfo, ok bool) {
+	id = r.PathValue("id")
+	plan, live := s.planRoute(r, endpoint, id)
+	if !live {
 		s.writeNoLiveOwner(w, id)
-		return
+		return id, info, false
 	}
-	if !plan.local {
-		s.relayFirst(w, r, plan.remotes, id)
-		return
-	}
-	info, err := s.infoFor(id)
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) && len(plan.remotes) > 0 {
-			s.relayFirst(w, r, plan.remotes, id)
-			return
+	if plan.local {
+		info, err := s.infoFor(id)
+		if err == nil {
+			return id, info, true
 		}
-		s.writeFetchError(w, id, err)
-		return
+		if !errors.Is(err, storage.ErrNotFound) || len(plan.remotes) == 0 {
+			s.writeFetchError(w, id, err)
+			return id, info, false
+		}
 	}
-	writeJSON(w, http.StatusOK, info)
+	s.relayFirst(w, r, plan.remotes)
+	return id, info, false
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -807,11 +806,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	plan, ok := s.planRoute(r, "delete", id)
 	if !ok {
 		s.writeNoLiveOwner(w, id)
-		return
-	}
-	if s.cluster == nil || isInternal(r) {
-		status, err := s.deleteLocal(id)
-		s.writeDeleteStatus(w, id, status, err)
 		return
 	}
 	s.clusterDelete(w, r, plan, id)
@@ -971,68 +965,109 @@ func (q *AnalyzeRequest) cacheKey(id string) string {
 	return id + "|" + hex.EncodeToString(sum[:])
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	plan, _ := s.planRoute(r, "analyze", id)
-	// Not an owner: proxy — even with every owner down, because the
-	// replica-local result cache may still hold the report (checked
-	// inside; only an uncached analyze is peer_unavailable then).
-	if !plan.local {
-		s.proxyAnalyzeRequest(w, r, plan.remotes, id)
-		return
-	}
-	tr, _, err := s.fetch(id)
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) && len(plan.remotes) > 0 {
-			// An owner missing its copy: another owner resolves it.
-			s.proxyAnalyzeRequest(w, r, plan.remotes, id)
-			return
-		}
-		s.writeFetchError(w, id, err)
-		return
-	}
-
-	var req AnalyzeRequest
+// readRequest decodes a JSON request body into v, rejecting unknown
+// fields; an empty body leaves v zero. On an unreadable or malformed
+// body it answers 400 invalid_request itself and returns false.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "reading body: %v", err)
+		return false
+	}
+	if len(body) == 0 {
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "request: %v", err)
+		return false
+	}
+	return true
+}
+
+// analyzeTarget is where one trace's Report comes from after routing:
+// the local copy (tr set) or, when this replica holds none, the trace's
+// live remote owners in rendezvous order.
+type analyzeTarget struct {
+	id      string
+	tr      *trace.Trace
+	remotes []string
+}
+
+// resolveTarget fetches id's local copy when plan makes this replica an
+// owner. An owner missing its copy falls back to the other owners; any
+// other fetch failure is returned for writeFetchError.
+func (s *Server) resolveTarget(id string, plan routePlan) (*analyzeTarget, error) {
+	tg := &analyzeTarget{id: id, remotes: plan.remotes}
+	if plan.local {
+		tr, _, err := s.fetch(id)
+		if err != nil && !(errors.Is(err, storage.ErrNotFound) && len(plan.remotes) > 0) {
+			return nil, err
+		}
+		tg.tr = tr
+	}
+	return tg, nil
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	// Served even with every owner down: the replica-local result cache
+	// may still hold the report, and only an uncached analyze is
+	// peer_unavailable then.
+	plan, _ := s.planRoute(r, "analyze", id)
+	tg, err := s.resolveTarget(id, plan)
+	if err != nil {
+		s.writeFetchError(w, id, err)
 		return
 	}
-	if len(body) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "request: %v", err)
-			return
-		}
+	var req AnalyzeRequest
+	if !s.readRequest(w, r, &req) {
+		return
 	}
 	opts, err := req.engineOptions()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeUnknownAnalysis, "%v", err)
 		return
 	}
-
-	b, hit, err := s.analyzedBytes(r.Context(), tr, req.cacheKey(id), opts)
+	b, hit, err := s.reportBytes(r.Context(), tg, &req, opts)
 	if err == nil && hit {
 		w.Header().Set("X-Memgazed-Cache", "hit")
 	}
 	s.writeAnalysisResult(w, b, err)
 }
 
-// analyzedBytes returns the marshalled Report of tr under key — the
-// result-cache lookup, miss accounting, and singleflight execution
-// shared by the analyze and diff paths. hit reports a cache hit; ctx
-// bounds only this caller's wait (the leader's work is detached, as
-// always with the flight group).
-func (s *Server) analyzedBytes(ctx context.Context, tr *trace.Trace, key string, opts []engine.Option) (b []byte, hit bool, err error) {
+// reportBytes returns tg's marshalled Report under areq: the engine
+// over the local copy, or a proxied analyze along the owner walk when
+// this replica holds none. Both run behind the same result-cache key,
+// so the analyze endpoint and diff sides, local or proxied, share
+// cached Reports.
+func (s *Server) reportBytes(ctx context.Context, tg *analyzeTarget, areq *AnalyzeRequest, opts []engine.Option) (b []byte, hit bool, err error) {
+	key := areq.cacheKey(tg.id)
+	return s.cached(ctx, key, func() ([]byte, error) {
+		if tg.tr != nil {
+			return s.runAnalysis(tg.tr, key, opts)
+		}
+		body, err := json.Marshal(areq)
+		if err != nil {
+			return nil, fmt.Errorf("marshalling analyze request: %w", err)
+		}
+		return s.fetchRemoteAnalysis(tg.remotes, tg.id, body, key)
+	})
+}
+
+// cached returns the bytes under key: a result-cache hit, or else one
+// singleflight execution of compute shared by every concurrent caller,
+// with the hit, miss, and coalesced accounting of both analyze and
+// diff. ctx bounds only this caller's wait (the leader's work is
+// detached, as always with the flight group).
+func (s *Server) cached(ctx context.Context, key string, compute func() ([]byte, error)) (b []byte, hit bool, err error) {
 	if b, ok := s.results.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return b, true, nil
 	}
 	s.metrics.cacheMisses.Add(1)
-	b, err, joined := s.flights.Do(ctx, key, func() ([]byte, error) {
-		return s.runAnalysis(tr, key, opts)
-	})
+	b, err, joined := s.flights.Do(ctx, key, compute)
 	if joined {
 		s.metrics.coalesced.Add(1)
 	}
@@ -1053,7 +1088,7 @@ func (s *Server) writeAnalysisResult(w http.ResponseWriter, b []byte, err error)
 		// owner's envelope is the answer, replayed verbatim.
 		re.write(w)
 	case errors.As(err, &pe):
-		s.writePeerUnavailable(w, pe.peer, pe.cause)
+		pe.write(w)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, ErrCodeDeadlineExceeded, "analysis exceeded %v", s.cfg.RequestTimeout)
 	case errors.Is(err, context.Canceled):

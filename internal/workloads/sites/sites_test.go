@@ -1,6 +1,7 @@
 package sites
 
 import (
+	"context"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
@@ -95,7 +96,10 @@ func TestRunnerKappaThroughPipeline(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		r.Load(g.Next(), 0x20000000+uint64(i)*8)
 	}
-	tr, ds := pt.BuildSampledTrace(col, notes)
+	tr, ds, err := pt.NewBuilder(col, notes).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds.OrphanEvents > 0 {
 		t.Errorf("orphans: %d", ds.OrphanEvents)
 	}
@@ -123,7 +127,10 @@ func TestUncompressedMaterialisesConstMarkers(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			r.Load(g.Next(), 0x20000000+uint64(i)*8)
 		}
-		tr, _ := pt.BuildFullTrace(col, notes)
+		tr, _, err := pt.NewBuilder(col, notes).Build(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		return tr.Bytes, tr.Kappa(), tr.NumRecords()
 	}
 	bytesOn, kOn, recsOn := build(true)

@@ -24,8 +24,7 @@
 //	for _, d := range rep.FunctionDiags { ... }
 //
 // With no WithAnalyses option the analyzer runs the standard suite
-// (DefaultAnalyses). The flat per-analysis functions below remain as
-// deprecated wrappers over the engine; each names its replacement.
+// (DefaultAnalyses).
 //
 // See the examples/ directory for complete programs and DESIGN.md for
 // the architecture.
@@ -333,172 +332,6 @@ var ZoomLeaves = zoom.Leaves
 
 // BuildZoomOverTime runs the zoom per time interval (time × location).
 var BuildZoomOverTime = zoom.BuildOverTime
-
-// Deprecated flat analyses. Each wraps the engine with a single-analysis
-// suite; prefer NewAnalyzer, which shares work across analyses and
-// accepts a context.
-
-// FunctionDiagnostics computes per-function footprint access diagnostics.
-//
-// Deprecated: use NewAnalyzer with AnalyzeFunctions; the result is
-// Report.FunctionDiags.
-func FunctionDiagnostics(t *Trace, blockSize uint64) []*Diag {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize),
-		WithAnalyses(AnalyzeFunctions)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.FunctionDiags
-}
-
-// RegionDiagnostics computes diagnostics per memory region.
-//
-// Deprecated: use NewAnalyzer with AnalyzeRegions and WithRegions; the
-// result is Report.RegionDiags.
-func RegionDiagnostics(t *Trace, regions []Region, blockSize uint64) []*Diag {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize), WithRegions(regions),
-		WithAnalyses(AnalyzeRegions)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.RegionDiags
-}
-
-// WindowHistogram computes footprint histograms over dynamic window sizes.
-//
-// Deprecated: use NewAnalyzer with AnalyzeWindows and WithWindows; the
-// result is Report.Windows.
-func WindowHistogram(t *Trace, windows []uint64) []WindowMetrics {
-	rep, err := NewAnalyzer(t, WithWindows(windows),
-		WithAnalyses(AnalyzeWindows)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.Windows
-}
-
-// WorkingSet computes the page-granularity working-set curve (§V-B).
-//
-// Deprecated: use NewAnalyzer with AnalyzeWorkingSet,
-// WithWorkingSetIntervals, and WithPageSize; the result is
-// Report.WorkingSet.
-func WorkingSet(t *Trace, k int, pageSize uint64) []WorkingSetPoint {
-	rep, err := NewAnalyzer(t, WithWorkingSetIntervals(k), WithPageSize(pageSize),
-		WithAnalyses(AnalyzeWorkingSet)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.WorkingSet
-}
-
-// SuggestROI returns the hottest procedures covering a load share (§II).
-//
-// Deprecated: use NewAnalyzer with AnalyzeROI and WithROICoverage; the
-// result is Report.ROI.
-func SuggestROI(t *Trace, coverPct float64) []string {
-	rep, err := NewAnalyzer(t, WithROICoverage(coverPct),
-		WithAnalyses(AnalyzeROI)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.ROI
-}
-
-// SampleConfidence flags undersampled code windows (§VI-A).
-//
-// Deprecated: use NewAnalyzer with AnalyzeConfidence and
-// WithConfidenceConfig; the result is Report.Confidence.
-func SampleConfidence(t *Trace, cfg ConfidenceConfig) []Confidence {
-	rep, err := NewAnalyzer(t, WithConfidenceConfig(cfg),
-		WithAnalyses(AnalyzeConfidence)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.Confidence
-}
-
-// MissRatioCurve predicts LRU miss ratios from sampled reuse distances.
-//
-// Deprecated: use NewAnalyzer with AnalyzeMRC and WithCapacities; the
-// result is Report.MRC (with bounds in Report.MRCBounds for free).
-func MissRatioCurve(t *Trace, blockSize uint64, capacities []int) []MRCPoint {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize), WithCapacities(capacities),
-		WithAnalyses(AnalyzeMRC)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.MRC
-}
-
-// MissRatioBounds brackets the miss ratio at one capacity.
-//
-// Deprecated: use NewAnalyzer with AnalyzeMRC; Report.MRCBounds holds
-// the bracket at every configured capacity from one sweep.
-func MissRatioBounds(t *Trace, blockSize uint64, capacity int) (lo, hi float64) {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize), WithCapacities([]int{capacity}),
-		WithAnalyses(AnalyzeMRC)).Run(context.Background())
-	if err != nil || len(rep.MRCBounds) == 0 {
-		return 0, 0
-	}
-	return rep.MRCBounds[0].Lo, rep.MRCBounds[0].Hi
-}
-
-// ReuseIntervalHistogram computes the log2 reuse-interval histogram
-// with its R1/R3 regime split (§IV-A).
-//
-// Deprecated: use NewAnalyzer with AnalyzeReuseIntervals; the result is
-// Report.ReuseIntervals.
-func ReuseIntervalHistogram(t *Trace) []IntervalBucket {
-	rep, err := NewAnalyzer(t,
-		WithAnalyses(AnalyzeReuseIntervals)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.ReuseIntervals
-}
-
-// BuildIntervalTree constructs the execution interval tree.
-//
-// Deprecated: use NewAnalyzer with AnalyzeIntervalTree; the result is
-// Report.IntervalTree (with the per-interval breakdown in
-// Report.IntervalDiags).
-func BuildIntervalTree(t *Trace, blockSize uint64) *IntervalTree {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize), WithTimeIntervals(0),
-		WithAnalyses(AnalyzeIntervalTree)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.IntervalTree
-}
-
-// BuildZoomTree runs the recursive location zoom.
-//
-// Deprecated: use NewAnalyzer with AnalyzeZoom and WithZoomConfig; the
-// result is Report.ZoomRoot, with leaves and per-leaf block counts in
-// Report.ZoomLeaves and Report.ZoomLeafBlocks.
-func BuildZoomTree(t *Trace, cfg ZoomConfig) *ZoomNode {
-	rep, err := NewAnalyzer(t, WithZoomConfig(cfg),
-		WithAnalyses(AnalyzeZoom)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.ZoomRoot
-}
-
-// BuildHeatmap computes a location × time heatmap over [lo, hi).
-//
-// Deprecated: use NewAnalyzer with AnalyzeHeatmap, WithHeatmapRegion,
-// and WithHeatmapBins; the result is Report.Heatmap. Passing lo == hi
-// == 0 selects the hottest zoom leaf.
-func BuildHeatmap(t *Trace, lo, hi uint64, rows, cols int, blockSize uint64) *Heatmap {
-	rep, err := NewAnalyzer(t, WithBlockSize(blockSize),
-		WithHeatmapRegion(lo, hi), WithHeatmapBins(rows, cols),
-		WithAnalyses(AnalyzeHeatmap)).Run(context.Background())
-	if err != nil {
-		return nil
-	}
-	return rep.Heatmap
-}
 
 // Cross-trace comparison. Every case study of the paper reads two
 // traces side by side; Compare (over Reports) and CompareTraces (over

@@ -22,25 +22,36 @@ func TestPublicFacade(t *testing.T) {
 	if res.Trace.NumRecords() == 0 {
 		t.Fatal("no records")
 	}
-	diags := memgaze.FunctionDiagnostics(res.Trace, 64)
-	if len(diags) == 0 {
+	rep, err := memgaze.NewAnalyzer(res.Trace,
+		memgaze.WithBlockSize(64),
+		memgaze.WithWindows(memgaze.PowerOfTwoWindows(4, 10)),
+		memgaze.WithZoomConfig(zoom.DefaultConfig()),
+		memgaze.WithROICoverage(90),
+		memgaze.WithWorkingSetIntervals(4),
+		memgaze.WithPageSize(4096),
+		memgaze.WithCapacities([]int{64, 4096}),
+		memgaze.WithAnalyses(memgaze.AnalyzeFunctions, memgaze.AnalyzeWindows,
+			memgaze.AnalyzeZoom, memgaze.AnalyzeIntervalTree, memgaze.AnalyzeROI,
+			memgaze.AnalyzeWorkingSet, memgaze.AnalyzeMRC),
+	).Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.FunctionDiags) == 0 {
 		t.Fatal("no diagnostics")
 	}
-	for _, d := range diags {
+	for _, d := range rep.FunctionDiags {
 		if d.Name == "str1_0" && d.FstrPct < 99 {
 			t.Errorf("strided leaf Fstr%% = %.1f", d.FstrPct)
 		}
 	}
-	hist := memgaze.WindowHistogram(res.Trace, memgaze.PowerOfTwoWindows(4, 10))
-	if len(hist) == 0 || hist[0].N == 0 {
+	if len(rep.Windows) == 0 || rep.Windows[0].N == 0 {
 		t.Error("empty histogram")
 	}
-	root := memgaze.BuildZoomTree(res.Trace, zoom.DefaultConfig())
-	if len(memgaze.ZoomLeaves(root)) == 0 {
+	if len(memgaze.ZoomLeaves(rep.ZoomRoot)) == 0 {
 		t.Error("zoom found no regions")
 	}
-	tree := memgaze.BuildIntervalTree(res.Trace, 64)
-	if tree.Root == nil || tree.Root.Diag.A != res.Trace.NumRecords() {
+	if tree := rep.IntervalTree; tree == nil || tree.Root == nil || tree.Root.Diag.A != res.Trace.NumRecords() {
 		t.Error("interval tree root inconsistent")
 	}
 
@@ -57,14 +68,13 @@ func TestPublicFacade(t *testing.T) {
 	}
 
 	// Derived analyses through the facade.
-	if roi := memgaze.SuggestROI(res.Trace, 90); len(roi) == 0 {
+	if len(rep.ROI) == 0 {
 		t.Error("no ROI suggested")
 	}
-	if ws := memgaze.WorkingSet(res.Trace, 4, 4096); len(ws) == 0 {
+	if len(rep.WorkingSet) == 0 {
 		t.Error("no working-set points")
 	}
-	mrc := memgaze.MissRatioCurve(res.Trace, 64, []int{64, 4096})
-	if len(mrc) != 2 || mrc[0].MissRatio < mrc[1].MissRatio {
+	if mrc := rep.MRC; len(mrc) != 2 || mrc[0].MissRatio < mrc[1].MissRatio {
 		t.Errorf("facade MRC = %+v", mrc)
 	}
 

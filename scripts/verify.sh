@@ -1,13 +1,14 @@
 #!/bin/sh
 # Repo verification gate: build, vet (the nested perfbench module
 # included), formatting, lint (when installed), full tests (shuffled),
-# the concurrent packages under the race detector, fuzz smoke, and a
-# live memgazed smoke test. Run from the repo root.
+# the concurrent packages under the race detector, fuzz smoke, every
+# example program run to completion, and a live memgazed smoke test.
+# Run from the repo root.
 #
 # Every stage fails with a distinct "verify: FAILED stage: <name>"
 # message so CI logs point at the broken stage without scrolling.
 #
-#   VERIFY_QUICK=1 scripts/verify.sh   # skip fuzz + daemon smoke
+#   VERIFY_QUICK=1 scripts/verify.sh   # skip fuzz, examples + daemon smoke
 #   VERIFY_BENCH=1 scripts/verify.sh   # also run the benchmark gate
 #                                      # against the latest BENCH_N.json
 set -eu
@@ -62,7 +63,7 @@ run "go test -race (diff)" go test -count=1 -race ./internal/diff/...
 run "go test -race (storage)" go test -count=1 -race ./internal/storage/...
 
 if [ "${VERIFY_QUICK:-0}" = "1" ]; then
-    echo "VERIFY_QUICK=1: skipping fuzz smoke and memgazed smoke"
+    echo "VERIFY_QUICK=1: skipping fuzz smoke, examples and memgazed smoke"
     echo "verify OK (quick)"
     exit 0
 fi
@@ -74,11 +75,24 @@ run "fuzz smoke (FuzzDecode trace)" \
 run "fuzz smoke (FuzzStreamDecode)" \
     go test -run '^FuzzStreamDecode$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/pt/
 
+# Scratch space for the stages below, removed on exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+begin "examples"
+# Every examples/ program must build and run to exit 0; their output is
+# for people, so only the exit status is checked.
+go build -o "$work/examples/" ./examples/... || die
+for ex in "$work"/examples/*; do
+    echo "-- ${ex##*/}"
+    "$ex" >/dev/null || die
+done
+
 begin "memgazed smoke"
 # Boot the daemon on an ephemeral port, hit /v1/healthz and /metrics,
 # then SIGTERM it and require a clean drain (exit 0).
-smokedir=$(mktemp -d)
-trap 'rm -rf "$smokedir"' EXIT
+smokedir="$work/smoke"
+mkdir "$smokedir" || die
 go build -o "$smokedir/memgazed" ./cmd/memgazed || die
 "$smokedir/memgazed" -addr 127.0.0.1:0 >"$smokedir/log" 2>&1 &
 pid=$!

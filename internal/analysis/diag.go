@@ -54,87 +54,93 @@ type Diag struct {
 // wordBytes is the footprint unit: one 8-byte word per distinct address.
 const wordBytes = 8
 
-// accumulator builds a Diag from a record stream.
-type accumulator struct {
-	name     string
+// diagTotals are the scalar statistics of a window's Diag: everything
+// but its address multiset. Two disjoint windows' totals merge by
+// addition (max for dmax).
+type diagTotals struct {
 	a        int
 	implied  uint64
-	firstCls map[uint64]dataflow.Class // address -> class of first touch
-	counts   map[uint64]int
-	dist     *StackDist
+	constAcc uint64
 	sumD     float64
 	reuses   int
 	dmax     int
-	constAcc uint64
 }
 
-func newAccumulator(name string, blockSize uint64) *accumulator {
-	return &accumulator{
-		name:     name,
-		firstCls: make(map[uint64]dataflow.Class),
-		counts:   make(map[uint64]int),
-		dist:     NewStackDist(blockSize),
-	}
-}
-
-// startSample resets intra-sample state (the reuse-distance stream).
-func (ac *accumulator) startSample() { ac.dist.Reset() }
-
-func (ac *accumulator) add(r *trace.Record) { ac.addVals(r.Addr, r.Implied, r.Class) }
-
-// addVals is the column-direct form of add: the walks feed it straight
-// from the addrs/implied/classes columns.
-func (ac *accumulator) addVals(addr uint64, implied uint32, class dataflow.Class) {
-	ac.a++
-	ac.implied += uint64(implied)
+// count accumulates one record's access and compression counts.
+func (dt *diagTotals) count(implied uint32, class dataflow.Class) {
+	dt.a++
+	dt.implied += uint64(implied)
 	if class == dataflow.Constant {
-		ac.constAcc++
+		dt.constAcc++
 	}
-	ac.constAcc += uint64(implied)
-	if _, ok := ac.firstCls[addr]; !ok {
-		ac.firstCls[addr] = class
-	}
-	ac.counts[addr]++
-	if d, _ := ac.dist.Access(addr); d >= 0 {
-		ac.sumD += float64(d)
-		ac.reuses++
-		if d > ac.dmax {
-			ac.dmax = d
+	dt.constAcc += uint64(implied)
+}
+
+// reuse accumulates one intra-sample reuse distance (d < 0: none).
+func (dt *diagTotals) reuse(d int) {
+	if d >= 0 {
+		dt.sumD += float64(d)
+		dt.reuses++
+		if d > dt.dmax {
+			dt.dmax = d
 		}
 	}
 }
 
-func (ac *accumulator) finish(rho float64) *Diag {
-	d := &Diag{Name: ac.name, A: ac.a}
-	if ac.a == 0 {
+// merge folds b, a disjoint window's totals, into dt.
+func (dt *diagTotals) merge(b *diagTotals) {
+	dt.a += b.a
+	dt.implied += b.implied
+	dt.sumD += b.sumD
+	dt.reuses += b.reuses
+	dt.dmax = max(dt.dmax, b.dmax)
+	dt.constAcc += b.constAcc
+}
+
+// addrSummary is what a Diag needs of a window's address multiset:
+// per-class capture-recapture counts keyed by each address's
+// first-touch class, and the captures/survivals split. Every field is a
+// count, so the order addresses are added in does not matter.
+type addrSummary struct {
+	cs                  [3]CSCounts
+	captures, survivals int
+}
+
+// add records one distinct address accessed n times whose first touch
+// had class k.
+func (s *addrSummary) add(n int, k dataflow.Class) {
+	c := &s.cs[k]
+	c.Unique++
+	if n == 1 {
+		c.Singletons++
+	} else if n == 2 {
+		c.Doubletons++
+	}
+	c.Draws += float64(n)
+	if n > 1 {
+		s.captures++
+	} else {
+		s.survivals++
+	}
+}
+
+// diag computes the window's Diag at sample ratio rho from its totals,
+// its address summary and the lattice population of its strided
+// first-touch addresses.
+func (dt *diagTotals) diag(name string, rho float64, as *addrSummary, lattice float64) *Diag {
+	d := &Diag{Name: name, A: dt.a}
+	if dt.a == 0 {
 		d.Kappa = 1
 		return d
 	}
-	d.Kappa = 1 + float64(ac.implied)/float64(ac.a)
-	d.DecompA = d.Kappa * float64(ac.a)
+	d.Kappa = 1 + float64(dt.implied)/float64(dt.a)
+	d.DecompA = d.Kappa * float64(dt.a)
 	d.EstLoads = rho * d.DecompA
 	// Footprint estimation per access class via capture-recapture over
 	// the aggregated code window (§IV-B; see estimate.go).
-	var cs [3]CSCounts
-	var strAddrs []uint64
-	for addr, n := range ac.counts {
-		k := int(ac.firstCls[addr])
-		cs[k].Unique++
-		if n == 1 {
-			cs[k].Singletons++
-		} else if n == 2 {
-			cs[k].Doubletons++
-		}
-		cs[k].Draws += float64(n)
-		if dataflow.Class(k) == dataflow.Strided {
-			strAddrs = append(strAddrs, addr)
-		}
-	}
-	slices.Sort(strAddrs)
-	lattice := LatticePopulation(strAddrs)
 	scale := rho * d.Kappa
 	est := func(k dataflow.Class) float64 {
-		c := cs[k]
+		c := as.cs[k]
 		fallback := 0.0
 		if k == dataflow.Strided {
 			fallback = lattice
@@ -156,20 +162,66 @@ func (ac *accumulator) finish(rho float64) *Diag {
 		d.DeltaFstr = d.Fstr / d.EstLoads
 		d.DeltaFirr = d.Firr / d.EstLoads
 	}
-	d.AconstPct = 100 * float64(ac.constAcc) / d.DecompA
-	if ac.reuses > 0 {
-		d.D = ac.sumD / float64(ac.reuses)
+	d.AconstPct = 100 * float64(dt.constAcc) / d.DecompA
+	if dt.reuses > 0 {
+		d.D = dt.sumD / float64(dt.reuses)
 	}
-	d.DMax = ac.dmax
-	d.Reuses = ac.reuses
-	for _, c := range ac.counts {
-		if c > 1 {
-			d.Captures++
-		} else {
-			d.Survivals++
+	d.DMax = dt.dmax
+	d.Reuses = dt.reuses
+	d.Captures = as.captures
+	d.Survivals = as.survivals
+	return d
+}
+
+// accumulator builds a Diag from a record stream, keeping the address
+// multiset in maps — the form keyed code windows need, since their
+// records interleave.
+type accumulator struct {
+	name     string
+	tot      diagTotals
+	firstCls map[uint64]dataflow.Class // address -> class of first touch
+	counts   map[uint64]int
+	dist     *StackDist
+}
+
+func newAccumulator(name string, blockSize uint64) *accumulator {
+	return &accumulator{
+		name:     name,
+		firstCls: make(map[uint64]dataflow.Class),
+		counts:   make(map[uint64]int),
+		dist:     NewStackDist(blockSize),
+	}
+}
+
+// startSample resets intra-sample state (the reuse-distance stream).
+func (ac *accumulator) startSample() { ac.dist.Reset() }
+
+func (ac *accumulator) add(r *trace.Record) { ac.addVals(r.Addr, r.Implied, r.Class) }
+
+// addVals is the column-direct form of add: the walks feed it straight
+// from the addrs/implied/classes columns.
+func (ac *accumulator) addVals(addr uint64, implied uint32, class dataflow.Class) {
+	ac.tot.count(implied, class)
+	if _, ok := ac.firstCls[addr]; !ok {
+		ac.firstCls[addr] = class
+	}
+	ac.counts[addr]++
+	d, _ := ac.dist.Access(addr)
+	ac.tot.reuse(d)
+}
+
+func (ac *accumulator) finish(rho float64) *Diag {
+	var as addrSummary
+	var strAddrs []uint64
+	for addr, n := range ac.counts {
+		k := ac.firstCls[addr]
+		as.add(n, k)
+		if k == dataflow.Strided {
+			strAddrs = append(strAddrs, addr)
 		}
 	}
-	return d
+	slices.Sort(strAddrs)
+	return ac.tot.diag(ac.name, rho, &as, LatticePopulation(strAddrs))
 }
 
 // DiagAccum accumulates one code or time window's diagnostics
@@ -179,9 +231,9 @@ func (ac *accumulator) finish(rho float64) *Diag {
 // cross-sample statistic is either a sum of integer-valued terms
 // (associative in float64 below 2^53), a max, or a first-touch choice
 // where the earlier window wins, and reuse distances never cross sample
-// boundaries. The execution interval tree builds on this: parents
-// derive their Diag from children's states instead of rescanning
-// records.
+// boundaries. StreamAccum builds on this to fold a streamed upload's
+// windows in capture order; the execution interval tree applies the
+// same merge rules to sorted address runs instead (RunBuilder).
 type DiagAccum struct {
 	ac *accumulator
 }
@@ -197,21 +249,9 @@ func (da *DiagAccum) StartSample() { da.ac.startSample() }
 // Add accumulates one record. Not valid on a merged accumulation.
 func (da *DiagAccum) Add(r *trace.Record) { da.ac.add(r) }
 
-// AddSampleCols accumulates sample si of t straight from its columns:
-// StartSample followed by every record of the sample, without
-// materialising Records.
-func (da *DiagAccum) AddSampleCols(t *trace.Trace, si int) {
-	da.ac.startSample()
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	lo, hi := t.SampleRange(si)
-	for j := lo; j < hi; j++ {
-		da.ac.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-	}
-}
-
 // Counts returns the observed accesses and implied constant accesses so
 // far — the inputs of κ and ρ for the accumulated window.
-func (da *DiagAccum) Counts() (a int, implied uint64) { return da.ac.a, da.ac.implied }
+func (da *DiagAccum) Counts() (a int, implied uint64) { return da.ac.tot.a, da.ac.tot.implied }
 
 // Finish computes the window's Diag at sample ratio rho. The
 // accumulation itself is left untouched and may still be merged.
@@ -233,12 +273,7 @@ func MergeDiagAccums(name string, x, y *DiagAccum) *DiagAccum {
 // classes only fill addresses ac has not seen. The reuse stream is
 // dropped: intra-sample state means nothing across a merge.
 func (ac *accumulator) absorb(b *accumulator) {
-	ac.a += b.a
-	ac.implied += b.implied
-	ac.sumD += b.sumD
-	ac.reuses += b.reuses
-	ac.dmax = max(ac.dmax, b.dmax)
-	ac.constAcc += b.constAcc
+	ac.tot.merge(&b.tot)
 	ac.dist = nil
 	for addr, n := range b.counts {
 		ac.counts[addr] += n

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
 )
@@ -118,7 +119,7 @@ func LatticePopulation(sorted []uint64) float64 {
 	if len(gaps) == 0 {
 		return 1
 	}
-	sortU64(gaps)
+	slices.Sort(gaps)
 	pitch := gaps[len(gaps)/2]
 	if pitch == 0 {
 		return 0
@@ -139,19 +140,4 @@ func LatticePopulation(sorted []uint64) float64 {
 	}
 	pop += float64((prev-clusterStart)/pitch) + 1
 	return pop
-}
-
-// sortU64 sorts in place (shell sort; gap arrays are small and this
-// keeps the estimator dependency-light).
-func sortU64(s []uint64) {
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			v := s[i]
-			j := i
-			for ; j >= gap && s[j-gap] > v; j -= gap {
-				s[j] = s[j-gap]
-			}
-			s[j] = v
-		}
-	}
 }

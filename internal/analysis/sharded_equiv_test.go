@@ -110,10 +110,6 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqPop, err := analysis.GlobalPopulationsCtx(ctx, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
 			seqAddrs, err := analysis.SortedAddrsCtx(ctx, tr)
 			if err != nil {
 				t.Fatal(err)
@@ -140,13 +136,6 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 				if !reflect.DeepEqual(lines, seqLines) {
 					t.Errorf("shards=%d: line diagnostics diverge from sequential", shards)
-				}
-				pop, err := analysis.GlobalPopulationsSharded(ctx, tr, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pop != seqPop {
-					t.Errorf("shards=%d: populations = %v, want %v", shards, pop, seqPop)
 				}
 				addrs, err := analysis.SortedAddrsSharded(ctx, tr, shards)
 				if err != nil {
@@ -242,9 +231,6 @@ func TestShardedCancellation(t *testing.T) {
 	}
 	if _, err := analysis.FunctionDiagnosticsSharded(ctx, tr, 64, 4, analysis.Stats{}); err == nil {
 		t.Error("sharded diagnostics ignored cancelled context")
-	}
-	if _, err := analysis.GlobalPopulationsSharded(ctx, tr, 4); err == nil {
-		t.Error("sharded populations ignored cancelled context")
 	}
 	if _, err := analysis.SortedAddrsSharded(ctx, tr, 4); err == nil {
 		t.Error("sharded sorted-addrs ignored cancelled context")

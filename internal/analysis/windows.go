@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"context"
+	"math"
 	"slices"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
-	"github.com/memgaze/memgaze-go/internal/pool"
 	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
@@ -46,263 +46,244 @@ func WindowHistogram(t *trace.Trace, windows []uint64) []WindowMetrics {
 // WindowHistogramCtx is WindowHistogram with cancellation: it returns
 // ctx.Err() as soon as the context is done.
 func WindowHistogramCtx(ctx context.Context, t *trace.Trace, windows []uint64) ([]WindowMetrics, error) {
-	pop, err := GlobalPopulationsCtx(ctx, t)
+	ch, err := BuildAddrChains(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	return WindowHistogramPop(ctx, t, windows, pop)
+	return ch.WindowHistogram(ctx, windows)
 }
 
-// WindowHistogramPop is the population-injecting form of WindowHistogram:
-// callers that already hold the trace's global per-class populations
-// (GlobalPopulations) pass them in so they are computed once per trace
-// rather than once per histogram.
-func WindowHistogramPop(ctx context.Context, t *trace.Trace, windows []uint64, globalPop [3]float64) ([]WindowMetrics, error) {
+// WindowHistogram is WindowHistogramCtx over already built chains, for
+// callers that hold them: the engine builds a trace's chains once.
+func (ch *AddrChains) WindowHistogram(ctx context.Context, windows []uint64) ([]WindowMetrics, error) {
+	t := ch.t
+	globalPop := ch.Populations()
 	out := make([]WindowMetrics, len(windows))
 	meanW := t.MeanW() * t.Kappa() // decompressed mean sample size
-	// Inter-window accumulation depends only on the sample-group span
-	// ⌈w/period⌉, so sizes sharing a span share one pass over the trace
-	// and differ only in the flush ratio.
-	interGroups := map[int][]int{} // group span -> indices into windows
-	var spans []int
 	for i, w := range windows {
+		var m WindowMetrics
+		var err error
 		if t.Period == 0 || float64(w) <= meanW {
-			m, err := intraWindows(ctx, t, w)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = m
+			m, err = ch.intraWindows(ctx, w)
 		} else {
-			k := int((w + t.Period - 1) / t.Period)
-			if k < 1 {
-				k = 1
-			}
-			if _, ok := interGroups[k]; !ok {
-				spans = append(spans, k)
-			}
-			interGroups[k] = append(interGroups[k], i)
+			m, err = ch.interWindows(ctx, w, groupSpan(w, t.Period, t.NumSamples()), globalPop)
 		}
-	}
-	for _, k := range spans {
-		idxs := interGroups[k]
-		ws := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			ws[j] = windows[i]
-		}
-		ms, err := interWindows(ctx, t, ws, k, globalPop)
 		if err != nil {
 			return nil, err
 		}
-		for j, i := range idxs {
-			out[i] = ms[j]
+		m.W = w
+		if m.N > 0 && w > 0 {
+			m.DeltaF = m.F / float64(w)
 		}
-	}
-	for i, w := range windows {
-		out[i].W = w
-		if out[i].N > 0 && w > 0 {
-			out[i].DeltaF = out[i].F / float64(w)
-		}
+		out[i] = m
 	}
 	return out, nil
 }
 
-// winAcc accumulates one window's worth of records.
-type winAcc struct {
-	weight    float64 // decompressed accesses so far
-	clsWeight [3]float64
-	addrs     map[uint64]dataflow.Class
-	counts    map[uint64]int
-}
-
-func newWinAcc() *winAcc {
-	return &winAcc{addrs: make(map[uint64]dataflow.Class), counts: make(map[uint64]int)}
-}
-
-func (wa *winAcc) reset() {
-	wa.weight = 0
-	wa.clsWeight = [3]float64{}
-	clear(wa.addrs)
-	clear(wa.counts)
-}
-
-func (wa *winAcc) add(r *trace.Record) { wa.addVals(r.Addr, r.Implied, r.Class) }
-
-// addVals is the column-direct form of add: the walks feed it straight
-// from the addrs/implied/classes columns.
-func (wa *winAcc) addVals(addr uint64, implied uint32, class dataflow.Class) {
-	wa.weight += 1 + float64(implied)
-	cls, ok := wa.addrs[addr]
-	if !ok {
-		cls = class
-		wa.addrs[addr] = cls
+// groupSpan returns the number of consecutive samples an inter-window
+// of w accesses spans, ⌈w/period⌉, clamped to [1, samples]: a group
+// never holds more samples than the trace has, and the ceiling is taken
+// without the overflow w+period-1 would wrap into near 2^64.
+func groupSpan(w, period uint64, samples int) int {
+	k := w / period
+	if w%period != 0 {
+		k++
 	}
-	wa.clsWeight[cls] += 1 + float64(implied)
-	wa.counts[addr]++
+	return int(max(1, min(k, uint64(max(samples, 1)))))
 }
 
-// stridedLattice estimates the lattice population of the accumulated
-// strided addresses (0 when indeterminate).
-func (wa *winAcc) stridedLattice() float64 {
+func isInf(f float64) bool { return f > 1e300 }
+
+// AddrChains is the same-address occurrence index of a trace: for every
+// record, the index of the previous and the next record with the same
+// address (noPrev / noNext where there is none). Over any record range
+// [a, b) of the trace's sample order, a record is the range's first
+// touch of its address iff its prev is before a, and following next
+// from it while below b visits every other access to that address in
+// the range. So one walk over the range yields the address multiset —
+// distinct addresses, per-address counts and weights, first-touch
+// classes — with no map, in O(b-a).
+//
+// Indices are relative to the first sample's first record. Records of
+// the span that belong to no sample (gaps a FilterSamples view leaves)
+// point prev at themselves, so no range ever counts them. An
+// AddrChains is read-only once built and safe for concurrent use.
+type AddrChains struct {
+	t          *trace.Trace
+	base       int // absolute column index of relative index 0
+	prev, next []int
+	addrs      []uint64
+	implied    []uint32
+	classes    []byte
+}
+
+const (
+	noPrev = -1
+	noNext = math.MaxInt
+)
+
+// BuildAddrChains links t's records in one pass over the trace.
+func BuildAddrChains(ctx context.Context, t *trace.Trace) (*AddrChains, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ch := &AddrChains{t: t}
+	ns := t.NumSamples()
+	if ns == 0 {
+		return ch, nil
+	}
+	base, _ := t.SampleRange(0)
+	_, end := t.SampleRange(ns - 1)
+	ch.base = base
+	ch.addrs = t.Addrs()[base:end]
+	ch.implied = t.Implied()[base:end]
+	ch.classes = t.Classes()[base:end]
+	ch.prev = make([]int, end-base)
+	ch.next = make([]int, end-base)
+	last := make(map[uint64]int, len(ch.prev))
+	covered := 0 // relative index up to which records are accounted for
+	for si := 0; si < ns; si++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		lo, hi := t.SampleRange(si)
+		lo, hi = lo-base, hi-base
+		for j := covered; j < lo; j++ {
+			ch.prev[j] = j // not in the trace: never a first touch
+		}
+		for j := lo; j < hi; j++ {
+			a := ch.addrs[j]
+			ch.next[j] = noNext
+			if p, ok := last[a]; ok {
+				ch.prev[j] = p
+				ch.next[p] = j
+			} else {
+				ch.prev[j] = noPrev
+			}
+			last[a] = j
+		}
+		covered = max(covered, hi)
+	}
+	return ch, nil
+}
+
+// sampleRange returns sample si's record range in relative indices.
+func (ch *AddrChains) sampleRange(si int) (lo, hi int) {
+	lo, hi = ch.t.SampleRange(si)
+	return lo - ch.base, hi - ch.base
+}
+
+// winStats is the chain kernel's summary of one window's records: every
+// input of a flush except the strided lattice, which flush computes
+// from the range only when it needs it.
+type winStats struct {
+	lo, hi    int     // the window's relative record range
+	weight    float64 // decompressed accesses
+	clsWeight [3]float64
+	cs        [3]CSCounts
+	c, s      float64 // captures and survivals
+}
+
+// stats walks the records of [lo, hi) once: each first touch follows
+// its address's chain to count the address's accesses and weight in
+// the range. Every sum is of integer-valued terms below 2^53, so it is
+// exact whatever the order — the same floats a record-order
+// accumulation produces.
+func (ch *AddrChains) stats(lo, hi int) winStats {
+	ws := winStats{lo: lo, hi: hi}
+	prev, next, implied := ch.prev, ch.next, ch.implied
+	for j := lo; j < hi; j++ {
+		if prev[j] >= lo {
+			continue
+		}
+		n := 1
+		w := 1 + uint64(implied[j])
+		for k := next[j]; k < hi; k = next[k] {
+			n++
+			w += 1 + uint64(implied[k])
+		}
+		cls := ch.classes[j]
+		c := &ws.cs[cls]
+		c.Unique++
+		if n == 1 {
+			c.Singletons++
+			ws.s++
+		} else {
+			if n == 2 {
+				c.Doubletons++
+			}
+			ws.c++
+		}
+		c.Draws += float64(n)
+		ws.clsWeight[cls] += float64(w)
+		ws.weight += float64(w)
+	}
+	return ws
+}
+
+// stridedLattice estimates the lattice population of the strided
+// first-touch addresses of [lo, hi) (0 when indeterminate).
+func (ch *AddrChains) stridedLattice(lo, hi int) float64 {
 	var addrs []uint64
-	for addr := range wa.counts {
-		if wa.addrs[addr] == dataflow.Strided {
-			addrs = append(addrs, addr)
+	for j := lo; j < hi; j++ {
+		if ch.prev[j] < lo && ch.classes[j] == byte(dataflow.Strided) {
+			addrs = append(addrs, ch.addrs[j])
 		}
 	}
 	slices.Sort(addrs)
 	return LatticePopulation(addrs)
 }
 
-// GlobalPopulations aggregates all samples per class and returns the
+// Populations aggregates all samples per class and returns the
 // population estimates (0 where unusable) — the fallback saturation
 // evidence for windows that are individually blind (§IV-B). The strided
 // class uses the lattice estimator; others use Good–Turing.
-func GlobalPopulations(t *trace.Trace) [3]float64 {
-	pop, _ := GlobalPopulationsCtx(context.Background(), t)
-	return pop
-}
-
-// GlobalPopulationsCtx is GlobalPopulations with cancellation.
-func GlobalPopulationsCtx(ctx context.Context, t *trace.Trace) ([3]float64, error) {
-	wa := newWinAcc()
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	for si := 0; si < t.NumSamples(); si++ {
-		if err := ctx.Err(); err != nil {
-			return [3]float64{}, err
-		}
-		lo, hi := t.SampleRange(si)
-		for j := lo; j < hi; j++ {
-			wa.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-		}
-	}
-	return populationsOf(wa), nil
-}
-
-// populationsOf computes the per-class population estimates from an
-// accumulated window (only counts and first-touch classes matter).
-func populationsOf(wa *winAcc) [3]float64 {
-	var cs [3]CSCounts
-	for addr, n := range wa.counts {
-		k := int(wa.addrs[addr])
-		cs[k].Unique++
-		if n == 1 {
-			cs[k].Singletons++
-		} else if n == 2 {
-			cs[k].Doubletons++
-		}
-		cs[k].Draws += float64(n)
-	}
+func (ch *AddrChains) Populations() [3]float64 {
+	all := ch.stats(0, len(ch.prev))
 	var out [3]float64
-	for k := range cs {
-		p := cs[k].Population()
+	for k := range all.cs {
+		p := all.cs[k].Population()
 		if !isInf(p) {
 			out[k] = p
 		}
 	}
-	if lat := wa.stridedLattice(); lat > 0 {
+	if lat := ch.stridedLattice(0, len(ch.prev)); lat > 0 {
 		out[dataflow.Strided] = lat
 	}
 	return out
 }
 
-// GlobalPopulationsSharded is GlobalPopulationsCtx over contiguous
-// sample shards walked concurrently, byte-identical at every shard
-// count: per-address access counts merge by addition and first-touch
-// classes take the earliest shard's choice, which is exactly the state
-// a sequential walk accumulates. shards <= 0 selects GOMAXPROCS.
-func GlobalPopulationsSharded(ctx context.Context, t *trace.Trace, shards int) ([3]float64, error) {
-	shards = resolveShards(shards, t.NumSamples())
-	if shards <= 1 {
-		return GlobalPopulationsCtx(ctx, t)
-	}
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	res := make([]*winAcc, shards)
-	tasks := make([]func(context.Context) error, shards)
-	for i := range tasks {
-		lo, hi := shardRange(t.NumSamples(), shards, i)
-		tasks[i] = func(ctx context.Context) error {
-			wa := newWinAcc()
-			for si := lo; si < hi; si++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				rlo, rhi := t.SampleRange(si)
-				for j := rlo; j < rhi; j++ {
-					wa.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-				}
-			}
-			res[i] = wa
-			return nil
-		}
-	}
-	if err := pool.Run(ctx, shards, tasks); err != nil {
-		return [3]float64{}, err
-	}
-	merged := res[0]
-	for _, wa := range res[1:] {
-		for addr, n := range wa.counts {
-			merged.counts[addr] += n
-		}
-		for addr, cls := range wa.addrs {
-			if _, ok := merged.addrs[addr]; !ok {
-				merged.addrs[addr] = cls
-			}
-		}
-	}
-	return populationsOf(merged), nil
-}
-
-func isInf(f float64) bool { return f > 1e300 }
-
-// flush folds the window into the running metrics. ratio is the span
-// being estimated over the span observed: 1 for exact intra windows;
-// above 1, footprints are extrapolated with the capture-recapture
-// estimator of estimate.go, bounded by linear scaling (Eq. 3).
-func (wa *winAcc) flush(m *WindowMetrics, ratio float64, globalPop [3]float64) {
-	var cs [3]CSCounts
-	for addr, n := range wa.counts {
-		k := int(wa.addrs[addr])
-		cs[k].Unique++
-		if n == 1 {
-			cs[k].Singletons++
-		} else if n == 2 {
-			cs[k].Doubletons++
-		}
-		cs[k].Draws += float64(n)
-	}
+// flush folds the window st into the running metrics. ratio is the
+// span being estimated over the span observed: 1 for exact intra
+// windows; above 1, footprints are extrapolated with the
+// capture-recapture estimator of estimate.go, bounded by linear scaling
+// (Eq. 3).
+func (ch *AddrChains) flush(m *WindowMetrics, st *winStats, ratio float64, globalPop [3]float64) {
 	var f, fs, fi float64
 	if ratio <= 1 {
-		f = cs[0].Unique + cs[1].Unique + cs[2].Unique
-		fs = cs[dataflow.Strided].Unique
-		fi = cs[dataflow.Irregular].Unique
+		f = st.cs[0].Unique + st.cs[1].Unique + st.cs[2].Unique
+		fs = st.cs[dataflow.Strided].Unique
+		fi = st.cs[dataflow.Irregular].Unique
 	} else {
 		est := func(k dataflow.Class) float64 {
-			c := cs[k]
+			c := st.cs[k]
 			fallback := globalPop[k]
 			if k == dataflow.Strided && fallback == 0 {
-				fallback = wa.stridedLattice()
+				fallback = ch.stridedLattice(st.lo, st.hi)
 			}
-			return EstimateUnique(k, c, ratio*wa.clsWeight[k], c.Unique*ratio, fallback)
+			return EstimateUnique(k, c, ratio*st.clsWeight[k], c.Unique*ratio, fallback)
 		}
 		fc := est(dataflow.Constant)
 		fs = est(dataflow.Strided)
 		fi = est(dataflow.Irregular)
 		f = fc + fs + fi
 	}
-	var c, s float64
-	for _, n := range wa.counts {
-		if n > 1 {
-			c++
-		} else {
-			s++
-		}
-	}
 	m.N++
 	m.F += f * wordBytes
 	m.Fstr += fs * wordBytes
 	m.Firr += fi * wordBytes
-	m.C += ratio * c
-	m.S += ratio * s
+	m.C += ratio * st.c
+	m.S += ratio * st.s
 }
 
 func meanOf(m *WindowMetrics) {
@@ -320,94 +301,71 @@ func meanOf(m *WindowMetrics) {
 // intraWindows slices each sample into consecutive windows of w
 // decompressed accesses; partial tail windows of at least w/2 are scaled
 // up, smaller tails are discarded.
-func intraWindows(ctx context.Context, t *trace.Trace, w uint64) (WindowMetrics, error) {
+func (ch *AddrChains) intraWindows(ctx context.Context, w uint64) (WindowMetrics, error) {
 	var m WindowMetrics
-	wa := newWinAcc()
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	flushTail := func() {
-		if wa.weight >= float64(w)/2 {
-			wa.flush(&m, float64(w)/wa.weight, [3]float64{})
-		}
-	}
-	started := false
-	for si := 0; si < t.NumSamples(); si++ {
+	for si := 0; si < ch.t.NumSamples(); si++ {
 		if err := ctx.Err(); err != nil {
 			return WindowMetrics{}, err
 		}
-		lo, hi := t.SampleRange(si)
+		lo, hi := ch.sampleRange(si)
 		if lo == hi {
 			continue
 		}
-		if started {
-			flushTail()
-		}
-		wa.reset()
-		started = true
+		start, weight := lo, 0.0
 		for j := lo; j < hi; j++ {
-			wa.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-			if wa.weight >= float64(w) {
-				wa.flush(&m, 1, [3]float64{})
-				wa.reset()
+			weight += 1 + float64(ch.implied[j])
+			if weight >= float64(w) {
+				st := ch.stats(start, j+1)
+				ch.flush(&m, &st, 1, [3]float64{})
+				start, weight = j+1, 0
 			}
 		}
-	}
-	if started {
-		flushTail()
+		if weight >= float64(w)/2 {
+			st := ch.stats(start, hi)
+			ch.flush(&m, &st, float64(w)/weight, [3]float64{})
+		}
 	}
 	meanOf(&m)
 	return m, nil
 }
 
 // interWindows groups k = ⌈w/period⌉ consecutive samples per window and
-// scales observed footprints to each window span (Eq. 3, inter-window).
-// All sizes in ws must share the span k: they are flushed from the same
-// accumulation with their own ratios.
-func interWindows(ctx context.Context, t *trace.Trace, ws []uint64, k int, globalPop [3]float64) ([]WindowMetrics, error) {
-	ms := make([]WindowMetrics, len(ws))
+// scales observed footprints to the window span (Eq. 3, inter-window).
+func (ch *AddrChains) interWindows(ctx context.Context, w uint64, k int, globalPop [3]float64) (WindowMetrics, error) {
+	var m WindowMetrics
+	t := ch.t
 	if t.Period == 0 || t.Len() == 0 {
-		return ms, nil
+		return m, nil
 	}
-	wa := newWinAcc()
-	group := -1
-	flushGroup := func() {
-		// The group observed wa.weight decompressed accesses standing in
+	flushGroup := func(lo, hi int) {
+		// The group observed st.weight decompressed accesses standing in
 		// for a window of w executed accesses.
-		if wa.weight == 0 {
+		st := ch.stats(lo, hi)
+		if st.weight == 0 {
 			return
 		}
-		for i, w := range ws {
-			ratio := float64(w) / wa.weight
-			if ratio < 1 {
-				ratio = 1
-			}
-			wa.flush(&ms[i], ratio, globalPop)
-		}
+		ch.flush(&m, &st, max(float64(w)/st.weight, 1), globalPop)
 	}
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
+	group, glo, ghi := -1, 0, 0
 	for si := 0; si < t.NumSamples(); si++ {
-		lo, hi := t.SampleRange(si)
+		lo, hi := ch.sampleRange(si)
 		if lo == hi {
 			continue
 		}
 		if g := si / k; g != group {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return WindowMetrics{}, err
 			}
 			if group >= 0 {
-				flushGroup()
+				flushGroup(glo, ghi)
 			}
-			wa.reset()
-			group = g
+			group, glo = g, lo
 		}
-		for j := lo; j < hi; j++ {
-			wa.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-		}
+		ghi = hi
 	}
 	if group >= 0 {
-		flushGroup()
+		flushGroup(glo, ghi)
 	}
-	for i := range ms {
-		meanOf(&ms[i])
-	}
-	return ms, nil
+	meanOf(&m)
+	return m, nil
 }

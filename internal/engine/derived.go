@@ -49,7 +49,7 @@ type derived struct {
 	stats       memo[analysis.Stats]
 	funcDiags   memo[[]*analysis.Diag]
 	sweep       memo[*analysis.TraceSweep]
-	globalPop   memo[[3]float64]
+	chains      memo[*analysis.AddrChains]
 	sortedAddrs memo[[]uint64]
 	zoomRoot    memo[*zoom.Node]
 	itree       memo[*interval.Tree]
@@ -106,11 +106,11 @@ func (d *derived) Sweep(ctx context.Context) (*analysis.TraceSweep, error) {
 	})
 }
 
-// GlobalPop returns the per-class global populations feeding the
-// trace-window histogram's inter-window extrapolation.
-func (d *derived) GlobalPop(ctx context.Context) ([3]float64, error) {
-	return d.globalPop.get(func() ([3]float64, error) {
-		return analysis.GlobalPopulationsSharded(ctx, d.t, d.opts.SweepShards)
+// Chains returns the trace's same-address occurrence chains, the index
+// the trace-window histogram walks instead of per-window maps.
+func (d *derived) Chains(ctx context.Context) (*analysis.AddrChains, error) {
+	return d.chains.get(func() (*analysis.AddrChains, error) {
+		return analysis.BuildAddrChains(ctx, d.t)
 	})
 }
 

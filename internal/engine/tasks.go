@@ -44,11 +44,11 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		rep.RegionDiags = diags
 
 	case AnalyzeWindows:
-		pop, err := a.d.GlobalPop(ctx)
+		ch, err := a.d.Chains(ctx)
 		if err != nil {
 			return err
 		}
-		hist, err := analysis.WindowHistogramPop(ctx, a.t, a.opts.Windows, pop)
+		hist, err := ch.WindowHistogram(ctx, a.opts.Windows)
 		if err != nil {
 			return err
 		}

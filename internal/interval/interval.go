@@ -46,17 +46,20 @@ func Build(t *trace.Trace, blockSize uint64) *Tree {
 // BuildCtx is Build with cancellation: it returns ctx.Err() as soon as
 // the context is done.
 //
-// The build is truly bottom-up: each sample's records are accumulated
-// exactly once into its leaf, and every parent folds its right child's
-// accumulator state into its left child's, in place
-// (analysis.MergeDiagAccums), instead of rescanning the sample range —
-// same diagnostics, O(records) record work instead of
-// O(records · log samples). A child's Diag is finished before its
-// state is folded, so reusing the left child's accumulator is safe.
+// The build is truly bottom-up over sorted address runs
+// (analysis.RunBuilder): each leaf sorts its sample's addresses once
+// into runs of (address, count, first-touch class), and every parent
+// merges its two children's runs in one linear pass instead of
+// rescanning the sample range — same diagnostics, O(records) work per
+// level. A level's runs live in one buffer; two buffers alternate
+// between levels, since a level is finished before its parents' level
+// is built.
 func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, error) {
 	tr := &Tree{trace: t, blockSize: blockSize}
+	rb := analysis.NewRunBuilder(blockSize)
 	level := make([]*Node, 0, t.NumSamples())
-	accs := make([]*analysis.DiagAccum, 0, t.NumSamples())
+	sets := make([]analysis.RunSet, 0, t.NumSamples())
+	buf := make([]analysis.AddrRun, 0, t.Len())
 	ts := t.TS()
 	for i := 0; i < t.NumSamples(); i++ {
 		if err := ctx.Err(); err != nil {
@@ -68,43 +71,51 @@ func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, err
 			n.StartTS = ts[lo]
 			n.EndTS = ts[hi-1]
 		}
-		ac := analysis.NewDiagAccum("interval", blockSize)
-		ac.AddSampleCols(t, i)
-		n.Diag = ac.Finish(tr.rhoFor(i, i+1, ac))
+		var rs analysis.RunSet
+		buf, rs = rb.AppendSample(buf, t, i)
+		a, implied := rs.Counts()
+		n.Diag = rb.Diag("interval", rs, tr.rhoFor(i, i+1, a, implied))
 		level = append(level, n)
-		accs = append(accs, ac)
+		sets = append(sets, rs)
 	}
 	tr.Leaves = level
 	if len(level) == 0 {
 		tr.Root = &Node{Diag: &analysis.Diag{Kappa: 1}}
 		return tr, nil
 	}
+	spare := make([]analysis.AddrRun, 0, t.Len())
 	lvl := 1
 	for len(level) > 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		next := make([]*Node, 0, (len(level)+1)/2)
-		nextAccs := make([]*analysis.DiagAccum, 0, (len(level)+1)/2)
+		nextSets := make([]analysis.RunSet, 0, (len(level)+1)/2)
+		nextBuf := spare[:0]
 		for i := 0; i < len(level); i += 2 {
+			var rs analysis.RunSet
 			if i+1 == len(level) {
+				// The odd node carries up unchanged; its runs move to
+				// the next level's buffer, since this one is reused.
+				nextBuf, rs = analysis.AppendMerge(nextBuf, sets[i], analysis.RunSet{})
 				next = append(next, level[i])
-				nextAccs = append(nextAccs, accs[i])
+				nextSets = append(nextSets, rs)
 				continue
 			}
-			a, b := level[i], level[i+1]
+			l, r := level[i], level[i+1]
 			p := &Node{
-				Level: lvl, Start: a.Start, End: b.End,
-				StartTS: a.StartTS, EndTS: b.EndTS,
-				Children: []*Node{a, b},
+				Level: lvl, Start: l.Start, End: r.End,
+				StartTS: l.StartTS, EndTS: r.EndTS,
+				Children: []*Node{l, r},
 			}
-			ac := analysis.MergeDiagAccums("interval", accs[i], accs[i+1])
-			p.Diag = ac.Finish(tr.rhoFor(p.Start, p.End, ac))
+			nextBuf, rs = analysis.AppendMerge(nextBuf, sets[i], sets[i+1])
+			a, implied := rs.Counts()
+			p.Diag = rb.Diag("interval", rs, tr.rhoFor(p.Start, p.End, a, implied))
 			next = append(next, p)
-			nextAccs = append(nextAccs, ac)
+			nextSets = append(nextSets, rs)
 		}
-		level = next
-		accs = nextAccs
+		level, sets = next, nextSets
+		spare, buf = buf, nextBuf
 		lvl++
 	}
 	tr.Root = level[0]
@@ -112,11 +123,10 @@ func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, err
 }
 
 // rhoFor replicates (*trace.Trace).Rho for the sub-execution
-// [start, end) from accumulated counts, attributing a proportional
-// share of the execution's loads — the same arithmetic diagFor's
-// sub-trace would produce, without walking its records again.
-func (tr *Tree) rhoFor(start, end int, ac *analysis.DiagAccum) float64 {
-	a, implied := ac.Counts()
+// [start, end) from its observed and implied access counts, attributing a
+// proportional share of the execution's loads — the same arithmetic
+// diagFor's sub-trace would produce, without walking its records again.
+func (tr *Tree) rhoFor(start, end, a int, implied uint64) float64 {
 	kappa := 1.0
 	if a > 0 {
 		kappa = 1 + float64(implied)/float64(a)

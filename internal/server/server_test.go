@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -269,6 +270,38 @@ func TestUploadDedupAndLifecycle(t *testing.T) {
 	r2, _ := postAnalyze(t, hs.URL, first.ID, "{}")
 	if r2.StatusCode != http.StatusNotFound {
 		t.Fatalf("analyze after delete: %d", r2.StatusCode)
+	}
+}
+
+// TestAnalyzeHugeWindowIsOneGroup pins the inter-window span for a
+// window size of 2^64-1 through the API: the whole 40-sample trace is
+// one group, so exactly one window is measured (the span arithmetic
+// used to wrap and measure 40 one-sample groups instead).
+func TestAnalyzeHugeWindowIsOneGroup(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	tr := &trace.Trace{Module: "huge-window", Mode: "sampled", Period: 5000, TotalLoads: 40 * 5000}
+	for s := 0; s < 40; s++ {
+		tr.AddSample(s, 0, uint64(s+1)*5000)
+		for i := 0; i < 16; i++ {
+			tr.AppendRecord(&trace.Record{Addr: uint64(0x1000 + 8*(s*16+i)), Class: dataflow.Irregular, Proc: "f"})
+		}
+	}
+	info := uploadTrace(t, hs.URL, tr)
+	resp, body := postAnalyze(t, hs.URL, info.ID, `{"analyses":["windows"],"windows":[18446744073709551615]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("analyze: status %d: %s", resp.StatusCode, body)
+	}
+	var rep struct {
+		Windows []struct {
+			W uint64
+			N int
+		}
+	}
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Windows) != 1 || rep.Windows[0].W != math.MaxUint64 || rep.Windows[0].N != 1 {
+		t.Errorf("windows = %+v, want one W=2^64-1 entry with N=1", rep.Windows)
 	}
 }
 

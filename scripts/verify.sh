@@ -74,6 +74,8 @@ run "fuzz smoke (FuzzDecode trace)" \
     go test -run '^FuzzDecode$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/trace/
 run "fuzz smoke (FuzzStreamDecode)" \
     go test -run '^FuzzStreamDecode$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/pt/
+run "fuzz smoke (FuzzWindowKernels)" \
+    go test -run '^FuzzWindowKernels$' -fuzz '^FuzzWindowKernels$' -fuzztime 10s ./internal/analysis/
 
 # Scratch space for the stages below, removed on exit.
 work=$(mktemp -d)

@@ -55,17 +55,25 @@ func (c *ConfidenceConfig) fill() {
 // SampleConfidence evaluates every code window of the trace and returns
 // per-function confidence reports, most-flagged first.
 func SampleConfidence(t *trace.Trace, cfg ConfidenceConfig) []Confidence {
-	out, _ := SampleConfidenceCtx(context.Background(), t, cfg, nil, nil)
+	out, _ := SampleConfidenceCtx(context.Background(), t, nil, cfg, nil, nil)
 	return out
 }
 
 // SampleConfidenceCtx is SampleConfidence with cancellation and
-// injectable presence counts: callers already holding the per-procedure
+// injectable shared products: callers already holding t's address index
+// pass it (nil builds one), and callers holding the per-procedure
 // sample/record counts of a trace sweep (NewSweep with SweepPresence)
-// pass them in so the presence pass is not repeated; either map nil
-// recomputes both here.
-func SampleConfidenceCtx(ctx context.Context, t *trace.Trace, cfg ConfidenceConfig, samplesOf, recordsOf map[string]int) ([]Confidence, error) {
+// pass them so the presence pass is not repeated; either map nil
+// recomputes both here. The split halves are sample views of t, so
+// their diagnostics borrow the index's per-record ranks.
+func SampleConfidenceCtx(ctx context.Context, t *trace.Trace, ix *AddrIndex, cfg ConfidenceConfig, samplesOf, recordsOf map[string]int) ([]Confidence, error) {
 	cfg.fill()
+	if ix == nil {
+		var err error
+		if ix, err = BuildAddrIndex(ctx, t); err != nil {
+			return nil, err
+		}
+	}
 
 	if samplesOf == nil || recordsOf == nil {
 		sw, err := NewSweep(ctx, t, cfg.BlockSize, SweepPresence)
@@ -78,11 +86,11 @@ func SampleConfidenceCtx(ctx context.Context, t *trace.Trace, cfg ConfidenceConf
 	// Split-half estimates: diagnostics over even vs odd samples.
 	even := halfTrace(t, 0)
 	odd := halfTrace(t, 1)
-	fEven, err := diagF(ctx, even, cfg.BlockSize)
+	fEven, err := diagF(ctx, ix, even, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}
-	fOdd, err := diagF(ctx, odd, cfg.BlockSize)
+	fOdd, err := diagF(ctx, ix, odd, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +139,8 @@ func halfTrace(t *trace.Trace, parity int) *trace.Trace {
 	return nt
 }
 
-func diagF(ctx context.Context, t *trace.Trace, blockSize uint64) (map[string]float64, error) {
-	diags, err := FunctionDiagnosticsCtx(ctx, t, blockSize)
+func diagF(ctx context.Context, ix *AddrIndex, t *trace.Trace, blockSize uint64) (map[string]float64, error) {
+	diags, err := ix.FunctionDiagnostics(ctx, t, blockSize, 1, Stats{})
 	if err != nil {
 		return nil, err
 	}

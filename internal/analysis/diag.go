@@ -173,10 +173,20 @@ func (dt *diagTotals) diag(name string, rho float64, as *addrSummary, lattice fl
 	return d
 }
 
-// accumulator builds a Diag from a record stream, keeping the address
-// multiset in maps — the form keyed code windows need, since their
-// records interleave.
-type accumulator struct {
+// DiagAccum accumulates one code or time window's diagnostics
+// incrementally, sample by sample, keeping the address multiset in maps,
+// and supports merging two disjoint accumulations into one. Merging is
+// exact — byte-identical to feeding both record streams through a
+// single accumulator — because every cross-sample statistic is either a
+// sum of integer-valued terms (associative in float64 below 2^53), a
+// max, or a first-touch choice where the earlier window wins, and reuse
+// distances never cross sample boundaries.
+//
+// It is the map form for streams whose addresses no index covers:
+// StreamAccum folds a streamed upload's windows with it as they decode.
+// Analyses of a stored trace use the Diag kernel over the trace's
+// address index (DiagKernel) instead, which yields the same Diag.
+type DiagAccum struct {
 	name     string
 	tot      diagTotals
 	firstCls map[uint64]dataflow.Class // address -> class of first touch
@@ -184,8 +194,9 @@ type accumulator struct {
 	dist     *StackDist
 }
 
-func newAccumulator(name string, blockSize uint64) *accumulator {
-	return &accumulator{
+// NewDiagAccum returns an empty accumulation.
+func NewDiagAccum(name string, blockSize uint64) *DiagAccum {
+	return &DiagAccum{
 		name:     name,
 		firstCls: make(map[uint64]dataflow.Class),
 		counts:   make(map[uint64]int),
@@ -193,96 +204,62 @@ func newAccumulator(name string, blockSize uint64) *accumulator {
 	}
 }
 
-// startSample resets intra-sample state (the reuse-distance stream).
-func (ac *accumulator) startSample() { ac.dist.Reset() }
+// StartSample begins a new sample: intra-sample reuse state resets.
+func (da *DiagAccum) StartSample() { da.dist.Reset() }
 
-func (ac *accumulator) add(r *trace.Record) { ac.addVals(r.Addr, r.Implied, r.Class) }
-
-// addVals is the column-direct form of add: the walks feed it straight
-// from the addrs/implied/classes columns.
-func (ac *accumulator) addVals(addr uint64, implied uint32, class dataflow.Class) {
-	ac.tot.count(implied, class)
-	if _, ok := ac.firstCls[addr]; !ok {
-		ac.firstCls[addr] = class
+// Add accumulates one record. Not valid on a merged accumulation.
+func (da *DiagAccum) Add(r *trace.Record) {
+	da.tot.count(r.Implied, r.Class)
+	if _, ok := da.firstCls[r.Addr]; !ok {
+		da.firstCls[r.Addr] = r.Class
 	}
-	ac.counts[addr]++
-	d, _ := ac.dist.Access(addr)
-	ac.tot.reuse(d)
+	da.counts[r.Addr]++
+	d, _ := da.dist.Access(r.Addr)
+	da.tot.reuse(d)
 }
 
-func (ac *accumulator) finish(rho float64) *Diag {
+// Counts returns the observed accesses and implied constant accesses so
+// far — the inputs of κ and ρ for the accumulated window.
+func (da *DiagAccum) Counts() (a int, implied uint64) { return da.tot.a, da.tot.implied }
+
+// Finish computes the window's Diag at sample ratio rho. The
+// accumulation itself is left untouched and may still be merged.
+func (da *DiagAccum) Finish(rho float64) *Diag {
 	var as addrSummary
 	var strAddrs []uint64
-	for addr, n := range ac.counts {
-		k := ac.firstCls[addr]
+	for addr, n := range da.counts {
+		k := da.firstCls[addr]
 		as.add(n, k)
 		if k == dataflow.Strided {
 			strAddrs = append(strAddrs, addr)
 		}
 	}
 	slices.Sort(strAddrs)
-	return ac.tot.diag(ac.name, rho, &as, LatticePopulation(strAddrs))
+	return da.tot.diag(da.name, rho, &as, LatticePopulation(strAddrs))
 }
-
-// DiagAccum accumulates one code or time window's diagnostics
-// incrementally, sample by sample, and supports merging two disjoint
-// accumulations into one. Merging is exact — byte-identical to feeding
-// both record streams through a single accumulator — because every
-// cross-sample statistic is either a sum of integer-valued terms
-// (associative in float64 below 2^53), a max, or a first-touch choice
-// where the earlier window wins, and reuse distances never cross sample
-// boundaries. StreamAccum builds on this to fold a streamed upload's
-// windows in capture order; the execution interval tree applies the
-// same merge rules to sorted address runs instead (RunBuilder).
-type DiagAccum struct {
-	ac *accumulator
-}
-
-// NewDiagAccum returns an empty accumulation.
-func NewDiagAccum(name string, blockSize uint64) *DiagAccum {
-	return &DiagAccum{ac: newAccumulator(name, blockSize)}
-}
-
-// StartSample begins a new sample: intra-sample reuse state resets.
-func (da *DiagAccum) StartSample() { da.ac.startSample() }
-
-// Add accumulates one record. Not valid on a merged accumulation.
-func (da *DiagAccum) Add(r *trace.Record) { da.ac.add(r) }
-
-// Counts returns the observed accesses and implied constant accesses so
-// far — the inputs of κ and ρ for the accumulated window.
-func (da *DiagAccum) Counts() (a int, implied uint64) { return da.ac.tot.a, da.ac.tot.implied }
-
-// Finish computes the window's Diag at sample ratio rho. The
-// accumulation itself is left untouched and may still be merged.
-func (da *DiagAccum) Finish(rho float64) *Diag { return da.ac.finish(rho) }
 
 // MergeDiagAccums folds y into x in place and returns x, now equivalent
 // to accumulating x's samples followed by y's, under the given name.
 // The cost is O(y), however large x has grown, so folding windows one
 // by one stays linear. y is left unmodified. The result is finish- and
 // merge-only: records cannot be added to it.
-func MergeDiagAccums(name string, x, y *DiagAccum) *DiagAccum {
-	x.ac.absorb(y.ac)
-	x.ac.name = name
-	return x
-}
-
-// absorb folds b, the later of two disjoint accumulations, into ac.
-// First touches in ac (the earlier window) take precedence, so b's
-// classes only fill addresses ac has not seen. The reuse stream is
+//
+// First touches in x (the earlier window) take precedence, so y's
+// classes only fill addresses x has not seen. The reuse stream is
 // dropped: intra-sample state means nothing across a merge.
-func (ac *accumulator) absorb(b *accumulator) {
-	ac.tot.merge(&b.tot)
-	ac.dist = nil
-	for addr, n := range b.counts {
-		ac.counts[addr] += n
+func MergeDiagAccums(name string, x, y *DiagAccum) *DiagAccum {
+	x.tot.merge(&y.tot)
+	x.dist = nil
+	for addr, n := range y.counts {
+		x.counts[addr] += n
 	}
-	for addr, c := range b.firstCls {
-		if _, ok := ac.firstCls[addr]; !ok {
-			ac.firstCls[addr] = c
+	for addr, c := range y.firstCls {
+		if _, ok := x.firstCls[addr]; !ok {
+			x.firstCls[addr] = c
 		}
 	}
+	x.name = name
+	return x
 }
 
 // sortByHotness orders diagnostics by descending estimated loads with a
@@ -308,96 +285,93 @@ func lineKey(procID uint32, line int32) diagKey {
 	return diagKey(procID)<<32 | diagKey(uint32(line))
 }
 
-// keyedDiagAccs walks samples [lo, hi), accumulating per-key state —
-// the sequential inner loop of keyedDiagnostics, reused per shard.
-// byLine selects line-granularity keys; otherwise records aggregate per
-// procedure.
-func keyedDiagAccs(ctx context.Context, t *trace.Trace, blockSize uint64, lo, hi int, byLine bool, name func(diagKey) string) (map[diagKey]*accumulator, error) {
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	procIDs, lines := t.ProcIDs(), t.Lines()
-	accs := make(map[diagKey]*accumulator)
-	for si := lo; si < hi; si++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rlo, rhi := t.SampleRange(si)
-		for _, ac := range accs {
-			ac.startSample()
-		}
-		for j := rlo; j < rhi; j++ {
-			k := procKey(procIDs[j])
-			if byLine {
-				k = lineKey(procIDs[j], lines[j])
-			}
-			ac, ok := accs[k]
-			if !ok {
-				ac = newAccumulator(name(k), blockSize)
-				accs[k] = ac
-			}
-			ac.addVals(addrs[j], implied[j], dataflow.Class(classes[j]))
-		}
+// keyedDiagnostics aggregates the trace into code windows keyed per
+// procedure or per line (byLine) and computes each window's Diag with
+// the kernel. One radix sort groups the records by key, each group in
+// record order; groups are independent windows, so shards split the
+// keys — contiguous runs of groups balanced by record count, one kernel
+// each — and the result is byte-identical at every shard count.
+func (ix *AddrIndex) keyedDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats, byLine bool) ([]*Diag, error) {
+	if !ix.covers(t) {
+		return nil, errForeignTrace
 	}
-	return accs, nil
-}
-
-// keyedDiagnosticsSharded aggregates the trace into code windows keyed
-// per procedure or per line, over contiguous sample shards walked
-// concurrently. Per-key accumulations merge exactly (see DiagAccum),
-// with earlier shards taking first-touch precedence, so the result is
-// byte-identical to the sequential walk at every shard count.
-func keyedDiagnosticsSharded(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats, byLine bool) ([]*Diag, error) {
 	st = st.orStatsOf(t)
-	shards = resolveShards(shards, t.NumSamples())
-	procs := t.Procs()
-	name := func(k diagKey) string {
+	procIDs, lines := t.ProcIDs(), t.Lines()
+	keys, recs, err := recordGroups(ctx, t, ix.base, func(j int) (uint64, bool) {
 		if byLine {
-			return fmt.Sprintf("%s:%d", procs[uint32(k>>32)], int32(uint32(k)))
+			return uint64(lineKey(procIDs[j], lines[j])), true
 		}
-		return procs[uint32(k>>32)]
+		return uint64(procKey(procIDs[j])), true
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var accs map[diagKey]*accumulator
+	bounds := groupBounds(keys)
+	groups := len(bounds) - 1
+	procs := t.Procs()
+	out := make([]*Diag, groups)
+	br, blocks := ix.blockRanks(blockSize)
+	walk := func(ctx context.Context, glo, ghi int) error {
+		if glo == ghi {
+			return nil
+		}
+		k := ix.kernel(t, br, blocks)
+		for g := glo; g < ghi; g++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			k.addGroup(recs[bounds[g]:bounds[g+1]])
+			key := diagKey(keys[bounds[g]])
+			name := procs[uint32(key>>32)]
+			if byLine {
+				name = fmt.Sprintf("%s:%d", name, int32(uint32(key)))
+			}
+			out[g] = k.Diag(name, st.Rho)
+		}
+		return nil
+	}
+	shards = resolveShards(shards, groups)
 	if shards <= 1 {
-		var err error
-		accs, err = keyedDiagAccs(ctx, t, blockSize, 0, t.NumSamples(), byLine, name)
-		if err != nil {
+		if err := walk(ctx, 0, groups); err != nil {
 			return nil, err
 		}
 	} else {
-		res := make([]map[diagKey]*accumulator, shards)
 		tasks := make([]func(context.Context) error, shards)
+		g := 0
 		for i := range tasks {
-			lo, hi := shardRange(t.NumSamples(), shards, i)
-			tasks[i] = func(ctx context.Context) error {
-				m, err := keyedDiagAccs(ctx, t, blockSize, lo, hi, byLine, name)
-				if err != nil {
-					return err
-				}
-				res[i] = m
-				return nil
+			// Shard i ends at the first group boundary past its share of
+			// the records.
+			glo, want := g, len(recs)*(i+1)/shards
+			for g < groups && (bounds[g] < want || g == glo) {
+				g++
 			}
+			if i == shards-1 {
+				g = groups
+			}
+			ghi := g
+			tasks[i] = func(ctx context.Context) error { return walk(ctx, glo, ghi) }
 		}
 		if err := pool.Run(ctx, shards, tasks); err != nil {
 			return nil, err
 		}
-		accs = res[0]
-		for _, m := range res[1:] {
-			for k, ac := range m {
-				if prev, ok := accs[k]; ok {
-					prev.absorb(ac)
-				} else {
-					accs[k] = ac
-				}
-			}
-		}
-	}
-
-	out := make([]*Diag, 0, len(accs))
-	for _, ac := range accs {
-		out = append(out, ac.finish(st.Rho))
 	}
 	sortByHotness(out)
 	return out, nil
+}
+
+// FunctionDiagnostics computes the per-procedure code windows of t — the
+// indexed trace or a sample view of it — over contiguous key shards
+// walked concurrently, byte-identical to the sequential result at every
+// shard count. shards <= 0 selects GOMAXPROCS; shards == 1 is the
+// sequential path. st may carry precomputed trace Stats (zero means
+// compute on demand).
+func (ix *AddrIndex) FunctionDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
+	return ix.keyedDiagnostics(ctx, t, blockSize, shards, st, false)
+}
+
+// LineDiagnostics is FunctionDiagnostics at source-line granularity.
+func (ix *AddrIndex) LineDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
+	return ix.keyedDiagnostics(ctx, t, blockSize, shards, st, true)
 }
 
 // FunctionDiagnostics aggregates the trace into code windows — one per
@@ -412,16 +386,11 @@ func FunctionDiagnostics(t *trace.Trace, blockSize uint64) []*Diag {
 // FunctionDiagnosticsCtx is FunctionDiagnostics with cancellation: it
 // returns ctx.Err() as soon as the context is done.
 func FunctionDiagnosticsCtx(ctx context.Context, t *trace.Trace, blockSize uint64) ([]*Diag, error) {
-	return keyedDiagnosticsSharded(ctx, t, blockSize, 1, Stats{}, false)
-}
-
-// FunctionDiagnosticsSharded is FunctionDiagnosticsCtx computed over
-// contiguous sample shards walked concurrently, byte-identical to the
-// sequential result at every shard count. shards <= 0 selects
-// GOMAXPROCS; shards == 1 is the sequential path. st may carry
-// precomputed trace Stats (zero means compute on demand).
-func FunctionDiagnosticsSharded(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
-	return keyedDiagnosticsSharded(ctx, t, blockSize, shards, st, false)
+	ix, err := BuildAddrIndex(ctx, t)
+	if err != nil {
+		return nil, err
+	}
+	return ix.FunctionDiagnostics(ctx, t, blockSize, 1, Stats{})
 }
 
 // LineDiagnostics aggregates the trace into source-line code windows
@@ -435,13 +404,11 @@ func LineDiagnostics(t *trace.Trace, blockSize uint64) []*Diag {
 
 // LineDiagnosticsCtx is LineDiagnostics with cancellation.
 func LineDiagnosticsCtx(ctx context.Context, t *trace.Trace, blockSize uint64) ([]*Diag, error) {
-	return keyedDiagnosticsSharded(ctx, t, blockSize, 1, Stats{}, true)
-}
-
-// LineDiagnosticsSharded is LineDiagnosticsCtx over concurrent sample
-// shards; see FunctionDiagnosticsSharded for the contract.
-func LineDiagnosticsSharded(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
-	return keyedDiagnosticsSharded(ctx, t, blockSize, shards, st, true)
+	ix, err := BuildAddrIndex(ctx, t)
+	if err != nil {
+		return nil, err
+	}
+	return ix.LineDiagnostics(ctx, t, blockSize, 1, Stats{})
 }
 
 // Region is an address range [Lo, Hi) with a display name.
@@ -454,9 +421,10 @@ type Region struct {
 func (g Region) Contains(addr uint64) bool { return addr >= g.Lo && addr < g.Hi }
 
 // RegionDiagnostics computes a Diag per region over the accesses that
-// fall inside it (location windows, §IV-C2). The reuse-distance stream
-// of each region is restricted to that region's accesses, so D reflects
-// the spatio-temporal locality of the object itself (Tables V, VII, IX).
+// fall inside it (location windows, §IV-C2); an access inside several
+// regions counts for the first. The reuse-distance stream of each
+// region is restricted to that region's accesses, so D reflects the
+// spatio-temporal locality of the object itself (Tables V, VII, IX).
 func RegionDiagnostics(t *trace.Trace, regions []Region, blockSize uint64) []*Diag {
 	out, _ := RegionDiagnosticsCtx(context.Background(), t, regions, blockSize)
 	return out
@@ -464,34 +432,68 @@ func RegionDiagnostics(t *trace.Trace, regions []Region, blockSize uint64) []*Di
 
 // RegionDiagnosticsCtx is RegionDiagnostics with cancellation.
 func RegionDiagnosticsCtx(ctx context.Context, t *trace.Trace, regions []Region, blockSize uint64) ([]*Diag, error) {
-	rho := t.Rho()
-	accs := make([]*accumulator, len(regions))
-	for i, g := range regions {
-		accs[i] = newAccumulator(g.Name, blockSize)
+	ix, err := BuildAddrIndex(ctx, t)
+	if err != nil {
+		return nil, err
 	}
-	addrs, implied, classes := t.Addrs(), t.Implied(), t.Classes()
-	for si := 0; si < t.NumSamples(); si++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	return ix.RegionDiagnostics(ctx, t, regions, blockSize)
+}
+
+// RegionDiagnostics is the package-level RegionDiagnosticsCtx over t —
+// the indexed trace or a sample view of it. Region membership is a
+// property of the address, so it is resolved once per distinct address
+// (first region wins) and the records grouped by region with the same
+// radix sort as the code windows.
+func (ix *AddrIndex) RegionDiagnostics(ctx context.Context, t *trace.Trace, regions []Region, blockSize uint64) ([]*Diag, error) {
+	if !ix.covers(t) {
+		return nil, errForeignTrace
+	}
+	regionOf := ix.RegionOf(regions)
+	keys, recs, err := recordGroups(ctx, t, ix.base, func(j int) (uint64, bool) {
+		g := regionOf[ix.ranks[j-ix.base]]
+		return uint64(g), g >= 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	bounds := groupBounds(keys)
+	rho := t.Rho()
+	k, err := ix.Kernel(t, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Diag, len(regions))
+	g := 0
+	for i, reg := range regions {
+		if g+1 < len(bounds) && keys[bounds[g]] == uint64(i) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			k.addGroup(recs[bounds[g]:bounds[g+1]])
+			g++
 		}
-		lo, hi := t.SampleRange(si)
-		for _, ac := range accs {
-			ac.startSample()
-		}
-		for i := lo; i < hi; i++ {
-			for j := range regions {
-				if regions[j].Contains(addrs[i]) {
-					accs[j].addVals(addrs[i], implied[i], dataflow.Class(classes[i]))
-					break
-				}
+		out[i] = k.Diag(reg.Name, rho)
+	}
+	return out, nil
+}
+
+// RegionOf resolves region membership per distinct address: entry r is
+// the index of the first region containing Addrs()[r], or -1 if none
+// does. A record's region is RegionOf(regions)[Rank(j)].
+func (ix *AddrIndex) RegionOf(regions []Region) []int32 {
+	regionOf := make([]int32, len(ix.addrs))
+	for r := range regionOf {
+		regionOf[r] = -1
+	}
+	for i, g := range regions {
+		lo, hi := ix.rankRange(g.Lo, g.Hi)
+		for r := lo; r < hi; r++ {
+			if regionOf[r] < 0 {
+				regionOf[r] = int32(i)
 			}
 		}
 	}
-	out := make([]*Diag, len(accs))
-	for i, ac := range accs {
-		out[i] = ac.finish(rho)
-	}
-	return out, nil
+	return regionOf
 }
 
 // BlocksTouched returns the number of distinct blocks of the given size

@@ -107,22 +107,29 @@ func EstimateUnique(class dataflow.Class, c CSCounts, draws, linearCap, fallback
 // footprint by access patterns without expensive sequence analysis"
 // (§I, §V-E) made quantitative. Returns 0 when no estimate is possible.
 func LatticePopulation(sorted []uint64) float64 {
+	pop, _ := latticePopulation(sorted, nil)
+	return pop
+}
+
+// latticePopulation is LatticePopulation sorting its gaps in a buffer
+// the caller reuses: it returns the grown buffer.
+func latticePopulation(sorted, gaps []uint64) (float64, []uint64) {
 	if len(sorted) < 4 {
-		return 0
+		return 0, gaps
 	}
-	gaps := make([]uint64, 0, len(sorted)-1)
+	gaps = gaps[:0]
 	for i := 1; i < len(sorted); i++ {
 		if g := sorted[i] - sorted[i-1]; g > 0 {
 			gaps = append(gaps, g)
 		}
 	}
 	if len(gaps) == 0 {
-		return 1
+		return 1, gaps
 	}
 	slices.Sort(gaps)
 	pitch := gaps[len(gaps)/2]
 	if pitch == 0 {
-		return 0
+		return 0, gaps
 	}
 	split := 64 * pitch
 	if split < 4096 {
@@ -139,5 +146,5 @@ func LatticePopulation(sorted []uint64) float64 {
 		prev = a
 	}
 	pop += float64((prev-clusterStart)/pitch) + 1
-	return pop
+	return pop, gaps
 }

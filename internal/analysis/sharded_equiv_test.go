@@ -110,7 +110,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqAddrs, err := analysis.SortedAddrsCtx(ctx, tr)
+			ix, err := analysis.BuildAddrIndex(ctx, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,26 +123,19 @@ func TestShardedEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(sw, seqSweep) {
 					t.Errorf("shards=%d: TraceSweep diverges from sequential\n got %+v\nwant %+v", shards, sw, seqSweep)
 				}
-				diags, err := analysis.FunctionDiagnosticsSharded(ctx, tr, blockSize, shards, st)
+				diags, err := ix.FunctionDiagnostics(ctx, tr, blockSize, shards, st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(diags, seqDiags) {
 					t.Errorf("shards=%d: function diagnostics diverge from sequential", shards)
 				}
-				lines, err := analysis.LineDiagnosticsSharded(ctx, tr, blockSize, shards, st)
+				lines, err := ix.LineDiagnostics(ctx, tr, blockSize, shards, st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(lines, seqLines) {
 					t.Errorf("shards=%d: line diagnostics diverge from sequential", shards)
-				}
-				addrs, err := analysis.SortedAddrsSharded(ctx, tr, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(addrs, seqAddrs) {
-					t.Errorf("shards=%d: sorted addrs diverge from sequential", shards)
 				}
 			}
 
@@ -194,6 +187,10 @@ func TestShardedSweepConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix, err := analysis.BuildAddrIndex(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tasks := make([]func(context.Context) error, 12)
 	for i := range tasks {
@@ -206,10 +203,7 @@ func TestShardedSweepConcurrent(t *testing.T) {
 			if !reflect.DeepEqual(sw, ref) {
 				return fmt.Errorf("shards=%d: concurrent sharded sweep diverges", shards)
 			}
-			if _, err := analysis.FunctionDiagnosticsSharded(ctx, tr, 64, shards, st); err != nil {
-				return err
-			}
-			if _, err := analysis.SortedAddrsSharded(ctx, tr, shards); err != nil {
+			if _, err := ix.FunctionDiagnostics(ctx, tr, 64, shards, st); err != nil {
 				return err
 			}
 			return nil
@@ -224,15 +218,16 @@ func TestShardedSweepConcurrent(t *testing.T) {
 // context instead of completing the walk.
 func TestShardedCancellation(t *testing.T) {
 	tr := synthTrace(32, 32)
+	ix, err := analysis.BuildAddrIndex(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := analysis.NewSweepSharded(ctx, tr, 64, analysis.SweepEverything, 4, analysis.Stats{}); err == nil {
 		t.Error("sharded sweep ignored cancelled context")
 	}
-	if _, err := analysis.FunctionDiagnosticsSharded(ctx, tr, 64, 4, analysis.Stats{}); err == nil {
+	if _, err := ix.FunctionDiagnostics(ctx, tr, 64, 4, analysis.Stats{}); err == nil {
 		t.Error("sharded diagnostics ignored cancelled context")
-	}
-	if _, err := analysis.SortedAddrsSharded(ctx, tr, 4); err == nil {
-		t.Error("sharded sorted-addrs ignored cancelled context")
 	}
 }

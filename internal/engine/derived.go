@@ -46,13 +46,13 @@ type derived struct {
 	// them all.
 	sweepParts analysis.SweepParts
 
-	stats       memo[analysis.Stats]
-	funcDiags   memo[[]*analysis.Diag]
-	sweep       memo[*analysis.TraceSweep]
-	chains      memo[*analysis.AddrChains]
-	sortedAddrs memo[[]uint64]
-	zoomRoot    memo[*zoom.Node]
-	itree       memo[*interval.Tree]
+	stats     memo[analysis.Stats]
+	funcDiags memo[[]*analysis.Diag]
+	sweep     memo[*analysis.TraceSweep]
+	chains    memo[*analysis.AddrChains]
+	index     memo[*analysis.AddrIndex]
+	zoomRoot  memo[*zoom.Node]
+	itree     memo[*interval.Tree]
 }
 
 func newDerived(t *trace.Trace, opts *Options) *derived {
@@ -90,7 +90,11 @@ func (d *derived) FuncDiags(ctx context.Context) ([]*analysis.Diag, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analysis.FunctionDiagnosticsSharded(ctx, d.t, d.opts.BlockSize, d.opts.SweepShards, st)
+		ix, err := d.Index(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return ix.FunctionDiagnostics(ctx, d.t, d.opts.BlockSize, d.opts.SweepShards, st)
 	})
 }
 
@@ -114,17 +118,20 @@ func (d *derived) Chains(ctx context.Context) (*analysis.AddrChains, error) {
 	})
 }
 
-// SortedAddrs returns every record address, sorted — the index behind
-// per-region distinct-block counts.
-func (d *derived) SortedAddrs(ctx context.Context) ([]uint64, error) {
-	return d.sortedAddrs.get(func() ([]uint64, error) {
-		return analysis.SortedAddrsSharded(ctx, d.t, d.opts.SweepShards)
+// Index returns the trace's address index: the per-record ranks every
+// Diag-kernel analysis walks (functions, lines, regions, confidence,
+// the interval tree and intervals, zoom leaves) and the sorted distinct
+// addresses the zoom recursion and per-leaf block counts read. It is
+// read-only once built, so concurrent analyses share it.
+func (d *derived) Index(ctx context.Context) (*analysis.AddrIndex, error) {
+	return d.index.get(func() (*analysis.AddrIndex, error) {
+		return analysis.BuildAddrIndex(ctx, d.t)
 	})
 }
 
-// blocksIn counts distinct blocks of the given size among sorted addrs
-// falling in [lo, hi) — equivalent to analysis.BlocksTouched without
-// re-walking the trace.
+// blocksIn counts distinct blocks of the given size among the sorted
+// distinct addrs falling in [lo, hi) — equivalent to
+// analysis.BlocksTouched without re-walking the trace.
 func blocksIn(addrs []uint64, lo, hi, blockSize uint64) int {
 	i := sort.Search(len(addrs), func(k int) bool { return addrs[k] >= lo })
 	n := 0
@@ -147,13 +154,21 @@ func (d *derived) ZoomRoot(ctx context.Context) (*zoom.Node, error) {
 		if cfg.Block == 0 {
 			cfg.Block = d.opts.BlockSize
 		}
-		return zoom.BuildCtx(ctx, d.t, cfg)
+		ix, err := d.Index(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return zoom.BuildCtx(ctx, ix, cfg)
 	})
 }
 
 // IntervalTree returns the execution interval tree.
 func (d *derived) IntervalTree(ctx context.Context) (*interval.Tree, error) {
 	return d.itree.get(func() (*interval.Tree, error) {
-		return interval.BuildCtx(ctx, d.t, d.opts.BlockSize)
+		ix, err := d.Index(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return interval.BuildCtx(ctx, d.t, ix, d.opts.BlockSize)
 	})
 }

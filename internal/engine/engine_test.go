@@ -211,3 +211,21 @@ func TestReportMetadata(t *testing.T) {
 		t.Errorf("rho/kappa = %v/%v, want %v/%v", rep.Rho, rep.Kappa, tr.Rho(), tr.Kappa())
 	}
 }
+
+// TestEmptySamplesDefaultSuite runs the default suite on a trace whose
+// samples carry no records — a shape Decode accepts and memgazed stores.
+// Sample views of it (the confidence halves) have no records to rank, so
+// borrowing the parent's address index must not refuse them.
+func TestEmptySamplesDefaultSuite(t *testing.T) {
+	tr := &trace.Trace{Module: "empty", Period: 10_000, TotalLoads: 40_000}
+	for s := 0; s < 4; s++ {
+		tr.AddSample(s, 0, uint64(s+1)*10_000)
+	}
+	rep, err := New(tr, WithAnalyses(DefaultAnalyses()...)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples != 4 || rep.Records != 0 {
+		t.Errorf("samples/records = %d/%d, want 4/0", rep.Samples, rep.Records)
+	}
+}

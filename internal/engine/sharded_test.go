@@ -24,3 +24,25 @@ func TestReportShardInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelShardedSuite runs the full suite with eight workers at
+// several shard counts — the analyses share only the memoized address
+// index, read-only, and every kernel's scratch is its worker's own — and
+// pins each Report to the sequential one. Run it under -race.
+func TestParallelShardedSuite(t *testing.T) {
+	tr := testTrace(24, 96)
+	all := WithAnalyses(AllAnalyses()...)
+	ref, err := New(tr, all, WithParallelism(1), WithSweepShards(1)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		rep, err := New(tr, all, WithParallelism(8), WithSweepShards(shards)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, ref) {
+			t.Errorf("WithParallelism(8), WithSweepShards(%d): Report diverges from sequential", shards)
+		}
+	}
+}

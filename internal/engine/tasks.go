@@ -27,7 +27,11 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		if err != nil {
 			return err
 		}
-		diags, err := analysis.LineDiagnosticsSharded(ctx, a.t, a.opts.BlockSize, a.opts.SweepShards, st)
+		ix, err := a.d.Index(ctx)
+		if err != nil {
+			return err
+		}
+		diags, err := ix.LineDiagnostics(ctx, a.t, a.opts.BlockSize, a.opts.SweepShards, st)
 		if err != nil {
 			return err
 		}
@@ -37,7 +41,11 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		if len(a.opts.Regions) == 0 {
 			return nil
 		}
-		diags, err := analysis.RegionDiagnosticsCtx(ctx, a.t, a.opts.Regions, a.opts.BlockSize)
+		ix, err := a.d.Index(ctx)
+		if err != nil {
+			return err
+		}
+		diags, err := ix.RegionDiagnostics(ctx, a.t, a.opts.Regions, a.opts.BlockSize)
 		if err != nil {
 			return err
 		}
@@ -95,7 +103,11 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		if cfg.BlockSize == 0 {
 			cfg.BlockSize = a.opts.BlockSize
 		}
-		conf, err := analysis.SampleConfidenceCtx(ctx, a.t, cfg, sw.SamplesOf, sw.RecordsOf)
+		ix, err := a.d.Index(ctx)
+		if err != nil {
+			return err
+		}
+		conf, err := analysis.SampleConfidenceCtx(ctx, a.t, ix, cfg, sw.SamplesOf, sw.RecordsOf)
 		if err != nil {
 			return err
 		}
@@ -113,7 +125,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 			// already holds every interval's diagnostics.
 			rep.IntervalDiags = intervalDiagsFromTree(tree, a.t.NumSamples(), a.opts.TimeIntervals)
 			if rep.IntervalDiags == nil {
-				diags, err := interval.IntervalDiagnosticsCtx(ctx, a.t, a.opts.TimeIntervals, a.opts.BlockSize)
+				diags, err := tree.IntervalDiagnostics(ctx, a.opts.TimeIntervals)
 				if err != nil {
 					return err
 				}
@@ -126,7 +138,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		if err != nil {
 			return err
 		}
-		addrs, err := a.d.SortedAddrs(ctx)
+		ix, err := a.d.Index(ctx)
 		if err != nil {
 			return err
 		}
@@ -134,7 +146,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		rep.ZoomLeaves = zoom.Leaves(root)
 		rep.ZoomLeafBlocks = make([]int, len(rep.ZoomLeaves))
 		for i, lf := range rep.ZoomLeaves {
-			rep.ZoomLeafBlocks[i] = blocksIn(addrs, lf.Lo, lf.Hi, a.opts.BlockSize)
+			rep.ZoomLeafBlocks[i] = blocksIn(ix.Addrs(), lf.Lo, lf.Hi, a.opts.BlockSize)
 		}
 
 	case AnalyzeHeatmap:
@@ -177,7 +189,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 // intervalDiagsFromTree recovers the k-way interval breakdown from
 // diagnostics the execution interval tree already computed. Both the
 // tree and interval.IntervalDiagnostics derive a node's Diag with the
-// same aggregation over the same sample range, so whenever every split
+// same kernel over the same sample range, so whenever every split
 // boundary i·n/k coincides with a tree node, reuse is exact. Returns
 // nil when any interval has no matching node (the caller recomputes).
 func intervalDiagsFromTree(tree *interval.Tree, n, k int) []*analysis.Diag {

@@ -33,30 +33,41 @@ type Tree struct {
 	Root      *Node
 	Leaves    []*Node
 	trace     *trace.Trace
+	ix        *analysis.AddrIndex
 	blockSize uint64
 }
 
 // Build constructs the tree: one leaf per sample, then parents merging
 // pairs of children until a single root remains.
 func Build(t *trace.Trace, blockSize uint64) *Tree {
-	tr, _ := BuildCtx(context.Background(), t, blockSize)
+	tr, _ := BuildCtx(context.Background(), t, nil, blockSize)
 	return tr
 }
 
-// BuildCtx is Build with cancellation: it returns ctx.Err() as soon as
-// the context is done.
+// BuildCtx is Build with cancellation and a shared address index: ix
+// is t's index or, when t is a sample view, its parent's (nil builds
+// one). It returns ctx.Err() as soon as the context is done.
 //
-// The build is truly bottom-up over sorted address runs
-// (analysis.RunBuilder): each leaf sorts its sample's addresses once
-// into runs of (address, count, first-touch class), and every parent
-// merges its two children's runs in one linear pass instead of
-// rescanning the sample range — same diagnostics, O(records) work per
-// level. A level's runs live in one buffer; two buffers alternate
-// between levels, since a level is finished before its parents' level
-// is built.
-func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, error) {
-	tr := &Tree{trace: t, blockSize: blockSize}
-	rb := analysis.NewRunBuilder(blockSize)
+// The build is truly bottom-up over sorted address runs: each leaf is
+// one sample's Diag-kernel window, finished into runs of (address,
+// count, first-touch class) by sorting the ranks it touched, and every
+// parent merges its two children's runs in one linear pass
+// (analysis.AppendMerge) instead of rescanning the sample range — same
+// diagnostics, O(records) work per level. A level's runs live in one
+// buffer; two buffers alternate between levels, since a level is
+// finished before its parents' level is built.
+func BuildCtx(ctx context.Context, t *trace.Trace, ix *analysis.AddrIndex, blockSize uint64) (*Tree, error) {
+	if ix == nil {
+		var err error
+		if ix, err = analysis.BuildAddrIndex(ctx, t); err != nil {
+			return nil, err
+		}
+	}
+	tr := &Tree{trace: t, ix: ix, blockSize: blockSize}
+	k, err := ix.Kernel(t, blockSize)
+	if err != nil {
+		return nil, err
+	}
 	level := make([]*Node, 0, t.NumSamples())
 	sets := make([]analysis.RunSet, 0, t.NumSamples())
 	buf := make([]analysis.AddrRun, 0, t.Len())
@@ -71,10 +82,11 @@ func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, err
 			n.StartTS = ts[lo]
 			n.EndTS = ts[hi-1]
 		}
+		k.AddSample(i)
 		var rs analysis.RunSet
-		buf, rs = rb.AppendSample(buf, t, i)
+		buf, rs = k.AppendRuns(buf)
 		a, implied := rs.Counts()
-		n.Diag = rb.Diag("interval", rs, tr.rhoFor(i, i+1, a, implied))
+		n.Diag = k.RunsDiag("interval", rs, tr.rhoFor(i, i+1, a, implied))
 		level = append(level, n)
 		sets = append(sets, rs)
 	}
@@ -110,7 +122,7 @@ func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, err
 			}
 			nextBuf, rs = analysis.AppendMerge(nextBuf, sets[i], sets[i+1])
 			a, implied := rs.Counts()
-			p.Diag = rb.Diag("interval", rs, tr.rhoFor(p.Start, p.End, a, implied))
+			p.Diag = k.RunsDiag("interval", rs, tr.rhoFor(p.Start, p.End, a, implied))
 			next = append(next, p)
 			nextSets = append(nextSets, rs)
 		}
@@ -124,8 +136,9 @@ func BuildCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (*Tree, err
 
 // rhoFor replicates (*trace.Trace).Rho for the sub-execution
 // [start, end) from its observed and implied access counts, attributing a
-// proportional share of the execution's loads — the same arithmetic
-// diagFor's sub-trace would produce, without walking its records again.
+// proportional share of the execution's loads — the arithmetic a
+// SampleSlice view of the range with its TotalLoads rescaled would
+// produce, without walking its records again.
 func (tr *Tree) rhoFor(start, end, a int, implied uint64) float64 {
 	kappa := 1.0
 	if a > 0 {
@@ -147,24 +160,6 @@ func (tr *Tree) rhoFor(start, end, a int, implied uint64) float64 {
 		return 1
 	}
 	return executed / decompressed
-}
-
-// diagFor computes diagnostics over samples [start, end).
-func (tr *Tree) diagFor(ctx context.Context, start, end int) (*analysis.Diag, error) {
-	// A column-sharing view over [start, end); no record copying.
-	sub := tr.trace.SampleSlice(start, end)
-	// Attribute a proportional share of the execution's loads so ρ stays
-	// the global sample ratio.
-	sub.TotalLoads = 0
-	if n := tr.trace.NumSamples(); n > 0 {
-		sub.TotalLoads = tr.trace.TotalLoads * uint64(end-start) / uint64(n)
-	}
-	regions := []analysis.Region{{Name: "interval", Lo: 0, Hi: ^uint64(0)}}
-	diags, err := analysis.RegionDiagnosticsCtx(ctx, sub, regions, tr.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	return diags[0], nil
 }
 
 // ZoomHot walks from the root to a leaf, at each level descending into
@@ -203,24 +198,49 @@ func IntervalDiagnosticsCtx(ctx context.Context, t *trace.Trace, k int, blockSiz
 	if k <= 0 || t.NumSamples() == 0 {
 		return nil, nil
 	}
-	if k > t.NumSamples() {
-		k = t.NumSamples()
+	ix, err := analysis.BuildAddrIndex(ctx, t)
+	if err != nil {
+		return nil, err
 	}
-	tr := &Tree{trace: t, blockSize: blockSize}
+	tr := &Tree{trace: t, ix: ix, blockSize: blockSize}
+	return tr.IntervalDiagnostics(ctx, k)
+}
+
+// IntervalDiagnostics is IntervalDiagnosticsCtx over the tree's trace,
+// computed with the address index the tree was built on: each interval
+// is one Diag-kernel window, one run per sample.
+func (tr *Tree) IntervalDiagnostics(ctx context.Context, k int) ([]*analysis.Diag, error) {
+	n := tr.trace.NumSamples()
+	if k <= 0 || n == 0 {
+		return nil, nil
+	}
+	k = min(k, n)
+	kern, err := tr.ix.Kernel(tr.trace, tr.blockSize)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*analysis.Diag, 0, k)
 	for i := 0; i < k; i++ {
-		start := i * t.NumSamples() / k
-		end := (i + 1) * t.NumSamples() / k
+		start, end := i*n/k, (i+1)*n/k
 		if end == start {
 			continue
 		}
-		d, err := tr.diagFor(ctx, start, end)
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+		out = append(out, tr.windowDiag(kern, start, end))
 	}
 	return out, nil
+}
+
+// windowDiag feeds samples [start, end) to the kernel as one window and
+// finishes it at the sub-execution's ρ.
+func (tr *Tree) windowDiag(kern *analysis.DiagKernel, start, end int) *analysis.Diag {
+	for si := start; si < end; si++ {
+		kern.AddSample(si)
+	}
+	a, implied := kern.Counts()
+	return kern.Diag("interval", tr.rhoFor(start, end, a, implied))
 }
 
 // LocalityPoint is one bin of Fig. 9's histogram: mean locality metrics

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -145,4 +146,30 @@ func TestTreeMatchesOracle(t *testing.T) {
 			check(tr.SampleSlice(1, tr.NumSamples()), blockSize)
 		}
 	}
+}
+
+// diagFor computes diagnostics over samples [start, end) from scratch,
+// independently of the tree's kernel and of rhoFor: a column-sharing
+// view over the range, credited a proportional share of the execution's
+// loads, walked record by record through the map-based DiagAccum and
+// finished at the view's own ρ.
+func (tr *Tree) diagFor(ctx context.Context, start, end int) (*analysis.Diag, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sub := tr.trace.SampleSlice(start, end)
+	sub.TotalLoads = 0
+	if n := tr.trace.NumSamples(); n > 0 {
+		sub.TotalLoads = tr.trace.TotalLoads * uint64(end-start) / uint64(n)
+	}
+	da := analysis.NewDiagAccum("interval", tr.blockSize)
+	prev := -1
+	for si, r := range sub.Records() {
+		if si != prev {
+			da.StartSample()
+			prev = si
+		}
+		da.Add(r)
+	}
+	return da.Finish(sub.Rho()), nil
 }

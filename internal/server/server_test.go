@@ -641,3 +641,39 @@ func TestUploadLocationHeader(t *testing.T) {
 		t.Fatalf("streamed upload = %d Location %q", resp.StatusCode, resp.Header.Get("Location"))
 	}
 }
+
+// TestUploadBadClassRejected pins that a trace whose record class lies
+// outside the three access classes answers 400 invalid_trace, buffered
+// and streamed. Accepted, such a trace would index past the analyses'
+// per-class arrays and crash the daemon on its first analyze.
+func TestUploadBadClassRejected(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	tr := testTrace(4, 20)
+	tr.AppendRecord(&trace.Record{Addr: 0x2000_0000, Class: 3, Proc: "alpha"})
+	enc, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []struct{ method, path string }{
+		{"POST", "/v1/traces"},
+		{"PUT", "/v1/traces:stream"},
+	} {
+		req, err := http.NewRequest(up.method, hs.URL+up.path, bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ContentTypeTrace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want 400: %s", up.method, up.path, resp.StatusCode, body)
+		}
+		if code := errCode(t, body); code != ErrCodeInvalidTrace {
+			t.Errorf("%s %s: code %q, want %q", up.method, up.path, code, ErrCodeInvalidTrace)
+		}
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/memgaze/memgaze-go/internal/dataflow"
 )
 
 // TestCrossVersionRoundTrip pins the compatibility matrix: a trace
@@ -173,6 +175,45 @@ func TestHostileRunLength(t *testing.T) {
 	}
 }
 
+// badClassEncodings returns a one-record trace whose class is out of
+// range (3 and 255) in every wire version.
+func badClassEncodings(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, cls := range []byte{3, 255} {
+		tr := &Trace{Module: "bad-class"}
+		tr.AddSample(0, 0, 1)
+		tr.AppendRecord(&Record{Addr: 0x1000, Proc: "f"})
+		tr.classes[0] = cls // the wire writers emit the byte as is
+		for v := 1; v <= 3; v++ {
+			var enc []byte
+			var err error
+			if v == 3 {
+				enc, err = tr.Encode()
+			} else {
+				enc, err = tr.EncodeLegacy(v)
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, enc)
+		}
+	}
+	return out
+}
+
+// TestDecodeRejectsBadClass pins that a class outside Constant,
+// Strided and Irregular fails decoding in every wire version: the
+// analyses index per-class arrays by it.
+func TestDecodeRejectsBadClass(t *testing.T) {
+	for i, enc := range badClassEncodings(t) {
+		_, err := Decode(enc)
+		if err == nil || !strings.Contains(err.Error(), "bad access class") {
+			t.Errorf("encoding %d: err = %v, want bad access class", i, err)
+		}
+	}
+}
+
 // FuzzDecode throws arbitrary bytes at the multi-version reader. Any
 // input that decodes must re-encode deterministically and decode again
 // to the same hash; everything else must fail with an error, never a
@@ -195,11 +236,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(hostileV3(1 << 35))
 	f.Add([]byte("MGTR"))
 	f.Add([]byte("not a trace"))
+	for _, enc := range badClassEncodings(f) {
+		f.Add(enc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(data)
 		if err != nil {
 			return
+		}
+		for _, c := range got.Classes() {
+			if c > byte(dataflow.Irregular) {
+				t.Fatalf("decoded class %d, outside the three access classes", c)
+			}
 		}
 		enc, err := got.Encode()
 		if err != nil {

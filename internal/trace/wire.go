@@ -47,6 +47,8 @@ import (
 	"hash"
 	"io"
 	"math/bits"
+
+	"github.com/memgaze/memgaze-go/internal/dataflow"
 )
 
 const fileVersion = 3
@@ -444,8 +446,17 @@ func readV3Body(t *Trace, br *bufio.Reader, readU func() (uint64, error), strs [
 	}
 
 	t.classes = make([]byte, 0, capN)
-	if err := readCol(func(v uint64) { t.classes = append(t.classes, byte(v)) }); err != nil {
+	badClass := uint64(0)
+	if err := readCol(func(v uint64) {
+		if v > uint64(dataflow.Irregular) {
+			badClass = v
+		}
+		t.classes = append(t.classes, byte(v))
+	}); err != nil {
 		return err
+	}
+	if badClass != 0 {
+		return badClassErr(badClass)
 	}
 	t.implied = make([]uint32, 0, capN)
 	if err := readCol(func(v uint64) { t.implied = append(t.implied, uint32(v)) }); err != nil {
@@ -548,6 +559,9 @@ func readLegacyBody(t *Trace, readU func() (uint64, error), strs []string) error
 			}
 			if sidx >= nstr {
 				return fmt.Errorf("trace: bad string index %d", sidx)
+			}
+			if cls > uint64(dataflow.Irregular) {
+				return badClassErr(cls)
 			}
 			lastIP += uint64(unzigzag(dip))
 			lastAddr += uint64(unzigzag(daddr))
@@ -739,3 +753,7 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); retur
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// badClassErr rejects a record class outside the three access classes:
+// the analyses index per-class arrays by it.
+func badClassErr(cls uint64) error { return fmt.Errorf("trace: bad access class %d", cls) }

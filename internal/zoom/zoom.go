@@ -9,7 +9,6 @@ package zoom
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -91,48 +90,44 @@ func (n *Node) Blocks(t *trace.Trace, block uint64) int {
 // Build runs the zoom over all trace records and returns the root node,
 // whose range spans the accessed address space.
 func Build(t *trace.Trace, cfg Config) *Node {
-	root, _ := BuildCtx(context.Background(), t, cfg)
+	ix, _ := analysis.BuildAddrIndex(context.Background(), t)
+	root, _ := BuildCtx(context.Background(), ix, cfg)
 	return root
 }
 
-// BuildCtx is Build with cancellation: it returns ctx.Err() as soon as
-// the context is done.
-func BuildCtx(ctx context.Context, t *trace.Trace, cfg Config) (*Node, error) {
+// BuildCtx is Build over the indexed trace's address index, with
+// cancellation: it returns ctx.Err() as soon as the context is done.
+// The index must be the trace's own — the recursion reads its distinct
+// addresses — so a sample view needs an index of the view.
+//
+// The recursion walks the index's distinct addresses and their record
+// counts, so it sorts nothing. The leaves' diagnostics come from the
+// index's Diag kernel (analysis.AddrIndex.RegionDiagnostics), and their
+// code attribution counts records per (procedure, line) key, rendering
+// each name once per leaf.
+func BuildCtx(ctx context.Context, ix *analysis.AddrIndex, cfg Config) (*Node, error) {
 	cfg.fill()
-	// The recursion only needs the sorted address multiset: copy the
-	// address column sample range by sample range and sort.
-	col := t.Addrs()
-	accs := make([]uint64, 0, t.Len())
-	lo, hi := ^uint64(0), uint64(0)
-	for si := 0; si < t.NumSamples(); si++ {
-		rlo, rhi := t.SampleRange(si)
-		for _, addr := range col[rlo:rhi] {
-			accs = append(accs, addr)
-			if addr < lo {
-				lo = addr
-			}
-			if addr >= hi {
-				hi = addr + 1
-			}
-		}
-	}
-	if len(accs) == 0 {
+	addrs, counts := ix.Addrs(), ix.Counts()
+	if len(addrs) == 0 {
 		return &Node{}, nil
 	}
-	slices.Sort(accs)
-	root := &Node{Lo: lo, Hi: hi, Accesses: len(accs), Pct: 100}
-	if err := recurse(ctx, root, accs, cfg, len(accs)); err != nil {
+	total := 0
+	for _, c := range counts {
+		total += int(c)
+	}
+	root := &Node{Lo: addrs[0], Hi: addrs[len(addrs)-1] + 1, Accesses: total, Pct: 100}
+	if err := recurse(ctx, root, addrs, counts, cfg, total); err != nil {
 		return nil, err
 	}
-	if err := fillLeafDiags(ctx, root, t, cfg); err != nil {
+	if err := fillLeafDiags(ctx, root, ix, cfg); err != nil {
 		return nil, err
 	}
 	return root, nil
 }
 
-// recurse splits node's accesses (sorted by address) into hot contiguous
-// page runs and descends.
-func recurse(ctx context.Context, n *Node, accs []uint64, cfg Config, total int) error {
+// recurse splits node's distinct addresses (ascending, with their
+// access counts) into hot contiguous page runs and descends.
+func recurse(ctx context.Context, n *Node, addrs []uint64, counts []uint32, cfg Config, total int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -143,46 +138,43 @@ func recurse(ctx context.Context, n *Node, accs []uint64, cfg Config, total int)
 	if page < cfg.MinRegion || n.Level >= cfg.MaxLevels || uint64(n.Hi-n.Lo) <= cfg.MinRegion {
 		return nil
 	}
-	// Bucket accesses by page. accs is sorted, so runs are contiguous
-	// slices.
+	// Bucket addresses by page. addrs is sorted, so runs of adjacent
+	// pages are contiguous slices.
 	type run struct {
 		startPage, endPage uint64 // inclusive page ids
-		lo, hi             int    // index range in accs
+		lo, hi             int    // index range in addrs
+		count              int    // accesses to the run
 	}
 	var runs []run
 	i := 0
-	for i < len(accs) {
-		p := accs[i] / page
+	for i < len(addrs) {
+		p := addrs[i] / page
 		j := i
 		endPage := p
-		for j < len(accs) {
-			q := accs[j] / page
-			if q == endPage {
-				j++
-				continue
+		count := 0
+		for j < len(addrs) {
+			q := addrs[j] / page
+			if q != endPage && q != endPage+1 {
+				break
 			}
-			if q == endPage+1 {
-				endPage = q
-				j++
-				continue
-			}
-			break
+			endPage = q
+			count += int(counts[j])
+			j++
 		}
-		runs = append(runs, run{startPage: p, endPage: endPage, lo: i, hi: j})
+		runs = append(runs, run{startPage: p, endPage: endPage, lo: i, hi: j, count: count})
 		i = j
 	}
 	threshold := cfg.ThresholdPct / 100 * float64(n.Accesses)
 	for _, r := range runs {
-		count := r.hi - r.lo
-		if float64(count) < threshold {
+		if float64(r.count) < threshold {
 			continue
 		}
 		child := &Node{
 			Lo:       r.startPage * page,
 			Hi:       (r.endPage + 1) * page,
 			Level:    n.Level + 1,
-			Accesses: count,
-			Pct:      100 * float64(count) / float64(total),
+			Accesses: r.count,
+			Pct:      100 * float64(r.count) / float64(total),
 		}
 		// Clamp to the parent's range for display.
 		if child.Lo < n.Lo {
@@ -191,7 +183,7 @@ func recurse(ctx context.Context, n *Node, accs []uint64, cfg Config, total int)
 		if child.Hi > n.Hi {
 			child.Hi = n.Hi
 		}
-		if err := recurse(ctx, child, accs[r.lo:r.hi], cfg, total); err != nil {
+		if err := recurse(ctx, child, addrs[r.lo:r.hi], counts[r.lo:r.hi], cfg, total); err != nil {
 			return err
 		}
 		n.Children = append(n.Children, child)
@@ -206,38 +198,50 @@ func recurse(ctx context.Context, n *Node, accs []uint64, cfg Config, total int)
 }
 
 // fillLeafDiags computes per-leaf diagnostics (reuse distance D with the
-// region-restricted access stream, captures/survivals) and function
-// attribution in one pass per leaf set.
-func fillLeafDiags(ctx context.Context, root *Node, t *trace.Trace, cfg Config) error {
+// region-restricted access stream, captures/survivals) and code
+// attribution.
+func fillLeafDiags(ctx context.Context, root *Node, ix *analysis.AddrIndex, cfg Config) error {
 	leaves := Leaves(root)
 	if len(leaves) == 0 {
 		return nil
 	}
+	t := ix.Trace()
 	regions := make([]analysis.Region, len(leaves))
 	for i, lf := range leaves {
 		regions[i] = analysis.Region{Name: "", Lo: lf.Lo, Hi: lf.Hi}
 	}
-	diags, err := analysis.RegionDiagnosticsCtx(ctx, t, regions, cfg.Block)
+	diags, err := ix.RegionDiagnostics(ctx, t, regions, cfg.Block)
 	if err != nil {
 		return err
+	}
+	// A record's leaf is a property of its address, resolved once per
+	// distinct address as RegionDiagnostics resolves it.
+	leafOf := ix.RegionOf(regions)
+	// Count records per (procedure id, line) key, then render names.
+	byKey := make([]map[uint64]int, len(leaves))
+	for i := range byKey {
+		byKey[i] = make(map[uint64]int)
+	}
+	procIDs, lines := t.ProcIDs(), t.Lines()
+	for si := 0; si < t.NumSamples(); si++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rlo, rhi := t.SampleRange(si)
+		for j := rlo; j < rhi; j++ {
+			if l := leafOf[ix.Rank(j)]; l >= 0 {
+				byKey[l][uint64(procIDs[j])<<32|uint64(uint32(lines[j]))]++
+			}
+		}
 	}
 	for i, lf := range leaves {
 		lf.Diag = diags[i]
 		lf.Funcs = make(map[string]int)
-		lf.Lines = make(map[string]int)
-	}
-	addrs, procIDs, lines := t.Addrs(), t.ProcIDs(), t.Lines()
-	for si := 0; si < t.NumSamples(); si++ {
-		rlo, rhi := t.SampleRange(si)
-		for j := rlo; j < rhi; j++ {
-			for _, lf := range leaves {
-				if addrs[j] >= lf.Lo && addrs[j] < lf.Hi {
-					proc := t.ProcName(procIDs[j])
-					lf.Funcs[proc]++
-					lf.Lines[proc+":"+strconv.Itoa(int(lines[j]))]++
-					break
-				}
-			}
+		lf.Lines = make(map[string]int, len(byKey[i]))
+		for key, c := range byKey[i] {
+			proc := t.ProcName(uint32(key >> 32))
+			lf.Funcs[proc] += c
+			lf.Lines[proc+":"+strconv.Itoa(int(int32(uint32(key))))] += c
 		}
 	}
 	return nil

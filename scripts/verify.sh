@@ -76,6 +76,8 @@ run "fuzz smoke (FuzzStreamDecode)" \
     go test -run '^FuzzStreamDecode$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/pt/
 run "fuzz smoke (FuzzWindowKernels)" \
     go test -run '^FuzzWindowKernels$' -fuzz '^FuzzWindowKernels$' -fuzztime 10s ./internal/analysis/
+run "fuzz smoke (FuzzDiagKernel)" \
+    go test -run '^FuzzDiagKernel$' -fuzz '^FuzzDiagKernel$' -fuzztime 10s ./internal/analysis/
 
 # Scratch space for the stages below, removed on exit.
 work=$(mktemp -d)

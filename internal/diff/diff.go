@@ -178,6 +178,14 @@ func DiffAnalyses() []engine.Analysis {
 	}
 }
 
+// ReportFields are the Report fields Diff reads besides the identity
+// (Module … Kappa): a caller holding Reports as JSON need decode only
+// these.
+var ReportFields = []string{
+	"FunctionDiags", "LineDiags", "MRC", "MRCBounds", "Confidence",
+	"IntervalDiags", "ZoomLeaves",
+}
+
 // Diff compares two Reports. Both should come from engine runs with the
 // same options; sections only present in one input are skipped. Deltas
 // are A − B throughout.

@@ -3,6 +3,7 @@ package diff
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -411,5 +412,46 @@ func TestDiffToolchainTraces(t *testing.T) {
 	}
 	if !shifted {
 		t.Error("O0 vs O3 diff shows no load-count shift in any function")
+	}
+}
+
+// TestDiffReadsOnlyReportFields pins ReportFields against Diff: with
+// every Report field zeroed except the identity and ReportFields, Diff
+// answers byte-identically — so a caller decoding only those fields
+// (memgazed's diff over cached fragments) loses nothing.
+func TestDiffReadsOnlyReportFields(t *testing.T) {
+	full := func(tr *trace.Trace) *engine.Report {
+		opts := []engine.Option{engine.WithAnalyses(engine.AllAnalyses()...)}
+		rep, err := engine.New(tr, opts...).Run(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	reduce := func(rep *engine.Report) *engine.Report {
+		keep := map[string]bool{}
+		for _, name := range append(append([]string{}, engine.IdentityFields...), ReportFields...) {
+			keep[name] = true
+		}
+		out := *rep
+		v := reflect.ValueOf(&out).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if !keep[v.Type().Field(i).Name] {
+				v.Field(i).SetZero()
+			}
+		}
+		return &out
+	}
+	ra, rb := full(synthTrace(4, 12, 90)), full(synthTrace(8, 10, 70))
+	want, err := json.Marshal(Diff(ra, rb, WithTopK(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(Diff(reduce(ra), reduce(rb), WithTopK(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("Diff reads a field outside ReportFields:\nreduced %s\nfull    %s", got, want)
 	}
 }

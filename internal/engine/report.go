@@ -57,3 +57,32 @@ type Report struct {
 	// ROI is the suggested region of interest (AnalyzeROI).
 	ROI []string
 }
+
+// IdentityFields are the Report fields every run fills, whatever its
+// analyses: the trace identity that leads the Report.
+var IdentityFields = []string{"Module", "Samples", "Records", "Rho", "Kappa"}
+
+// reportFields maps each analysis to the Report fields it fills, in
+// declaration order. Read in suite order after IdentityFields, the
+// groups list every Report field exactly once, in declaration order
+// (TestReportFieldGroups pins it), so a Report's JSON is the identity
+// followed by each analysis's group in turn.
+var reportFields = [numAnalyses][]string{
+	AnalyzeFunctions:      {"FunctionDiags"},
+	AnalyzeLines:          {"LineDiags"},
+	AnalyzeRegions:        {"RegionDiags"},
+	AnalyzeWindows:        {"Windows"},
+	AnalyzeWorkingSet:     {"WorkingSet"},
+	AnalyzeReuseIntervals: {"ReuseIntervals"},
+	AnalyzeMRC:            {"MRC", "MRCBounds"},
+	AnalyzeConfidence:     {"Confidence"},
+	AnalyzeIntervalTree:   {"IntervalTree", "IntervalDiags"},
+	AnalyzeZoom:           {"ZoomRoot", "ZoomLeaves", "ZoomLeafBlocks"},
+	AnalyzeHeatmap:        {"Heatmap"},
+	AnalyzeROI:            {"ROI"},
+}
+
+// Fields returns the Report fields analysis a fills, in declaration
+// order; a Report from a run without a leaves them zero. The slice is
+// shared; callers must not modify it.
+func (a Analysis) Fields() []string { return reportFields[a] }

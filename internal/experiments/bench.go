@@ -274,6 +274,80 @@ func serveWarm(iters int) (opStats, error) {
 	return total.per(iters), nil
 }
 
+// serveSubset measures subset analyzes answered from cached fragments:
+// traces uploads, each analysed once with the default suite, then one
+// functions+mrc analyze of each — a strict subset of what the default
+// suite cached, so no engine run and no trace read. Every rep starts
+// from a fresh server so each measured request is the first subset
+// request on its trace; returns ns per subset analyze.
+func serveSubset(traces int) (opStats, error) {
+	var best opStats
+	for rep := 0; rep < 3; rep++ {
+		st, err := serveSubsetOnce(traces)
+		if err != nil {
+			return opStats{}, err
+		}
+		if best.Ns == 0 || st.Ns < best.Ns {
+			best = st
+		}
+	}
+	return best.per(traces), nil
+}
+
+func serveSubsetOnce(traces int) (opStats, error) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		return opStats{}, err
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+
+	analyze := func(id, body string) error {
+		resp, err := http.Post(hs.URL+"/v1/traces/"+id+"/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("analyze %s: status %d", body, resp.StatusCode)
+		}
+		return nil
+	}
+	ids := make([]string, traces)
+	for i := range ids {
+		tr := benchTrace(16, 200)
+		tr.Module = fmt.Sprintf("bench-%d", i) // distinct content hashes
+		enc, err := tr.Encode()
+		if err != nil {
+			return opStats{}, err
+		}
+		resp, err := http.Post(hs.URL+"/v1/traces", server.ContentTypeTrace, bytes.NewReader(enc))
+		if err != nil {
+			return opStats{}, err
+		}
+		var info server.TraceInfo
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil {
+			return opStats{}, err
+		}
+		ids[i] = info.ID
+		if err := analyze(info.ID, ""); err != nil {
+			return opStats{}, err
+		}
+	}
+	return bestOf(1, func() error {
+		for _, id := range ids {
+			if err := analyze(id, `{"analyses":["functions","mrc"]}`); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // clusterProxy measures the warm proxied-analyze path of a two-replica
 // ring on real listeners: one upload, a priming analyze through the
 // non-owner (which forwards to the owner and caches the Report
@@ -773,6 +847,12 @@ func Bench(s Sizes) (*BenchResult, error) {
 		return nil, fmt.Errorf("encode v3: %w", err)
 	}
 	gate("encode_v3", encNs)
+
+	subsetNs, err := serveSubset(8)
+	if err != nil {
+		return nil, fmt.Errorf("serve subset: %w", err)
+	}
+	gate("serve_subset", subsetNs)
 
 	// On-disk comparison of the two wire formats over an O0 trace.
 	o0App, _ := s.miniviteApp(minivite.V1, minivite.O0, true)

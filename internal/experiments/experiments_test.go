@@ -538,8 +538,8 @@ func TestBenchRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res.Text)
-	if len(res.Gate) != 8 {
-		t.Fatalf("gate metrics = %d, want 8", len(res.Gate))
+	if len(res.Gate) != 9 {
+		t.Fatalf("gate metrics = %d, want 9", len(res.Gate))
 	}
 	if got := res.Gate[2].Name; got != "sweep_sharded" {
 		t.Errorf("gate[2] = %q, want sweep_sharded", got)
@@ -558,6 +558,9 @@ func TestBenchRuns(t *testing.T) {
 	}
 	if got := res.Gate[7].Name; got != "encode_v3" {
 		t.Errorf("gate[7] = %q, want encode_v3", got)
+	}
+	if got := res.Gate[8].Name; got != "serve_subset" {
+		t.Errorf("gate[8] = %q, want serve_subset", got)
 	}
 	if res.EncodedV3Bytes <= 0 || res.EncodedV3Bytes >= res.EncodedV2Bytes {
 		t.Errorf("v3 O0 wire size %dB not smaller than v2 %dB", res.EncodedV3Bytes, res.EncodedV2Bytes)

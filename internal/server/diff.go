@@ -36,10 +36,10 @@ func (q *DiffRequest) cacheKey() string {
 	return q.A + "|" + q.B + "|" + hex.EncodeToString(sum[:])
 }
 
-// handleDiff is POST /v1/diff. Each side's Report is pulled through the
-// same result cache and singleflight layer the analyze endpoint uses —
-// a diff of two already-analysed traces costs two cache hits and no
-// engine run — and the finished DiffReport is itself cached, so a
+// handleDiff is POST /v1/diff. Each side's fragments come through the
+// same result cache and flight group the analyze endpoint uses — a
+// diff of two already-analysed traces costs the fragment lookups and no
+// trace read — and the finished DiffReport is itself cached, so a
 // repeat diff is one lookup.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	var req DiffRequest
@@ -50,7 +50,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "both trace ids a and b are required")
 		return
 	}
-	opts, err := req.engineOptions()
+	kinds, err := req.analyses()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeUnknownAnalysis, "%v", err)
 		return
@@ -59,8 +59,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	for i, id := range []string{req.A, req.B} {
 		// A side owned by other replicas resolves remotely inside
 		// runDiff — as a proxied analyze walking the side's live owners,
-		// so its Report lands in this replica's result cache like any
-		// other; a self-owned side prefetches here so a missing trace
+		// so its fragments land in this replica's result cache like any
+		// other; a self-owned side is checked here so a missing trace
 		// answers before any engine work, falling back to the other
 		// owners when the local copy has not landed yet.
 		tg, err := s.resolveTarget(id, s.ownerPlan(r, id))
@@ -68,7 +68,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			s.writeFetchError(w, id, err)
 			return
 		}
-		if tg.tr == nil && len(tg.remotes) == 0 {
+		if !tg.local && len(tg.remotes) == 0 {
 			s.writeNoLiveOwner(w, id)
 			return
 		}
@@ -76,42 +76,49 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := req.cacheKey()
-	b, hit, err := s.cached(r.Context(), key, func() ([]byte, error) {
-		return s.runDiff(sides, &req, opts, key)
-	})
-	if err == nil && hit {
-		w.Header().Set("X-Memgazed-Cache", "hit")
-	}
-	s.writeAnalysisResult(w, b, err)
-}
-
-// runDiff is the diff singleflight leader's work: obtain both sides'
-// marshalled Reports through the analyze cache/flight layer (so a side
-// someone already analysed with the same parameters is a cache hit, a
-// side being analysed right now is joined, not recomputed, and a side
-// owned by another replica proxies to its owner), diff the decoded
-// Reports, and cache the marshalled DiffReport. Detached from the
-// requesting client like every flight leader; each side's engine run
-// bounds itself with the server request timeout.
-func (s *Server) runDiff(sides [2]*analyzeTarget, req *DiffRequest, opts []engine.Option, key string) ([]byte, error) {
-	var reps [2]engine.Report
-	for i, tg := range sides {
-		if tg.tr == nil {
-			s.metrics.clusterProxied["analyze"].Add(1) // a remote side is a proxied analyze
-		}
-		b, _, err := s.reportBytes(s.baseCtx, tg, &req.AnalyzeRequest, opts)
+	vals, hit, err := s.cached(r.Context(), []string{key}, func([]string) (map[string]fragment, error) {
+		b, err := s.runDiff(sides, &req, kinds)
 		if err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(b, &reps[i]); err != nil {
+		return map[string]fragment{key: {b}}, nil
+	})
+	if err != nil {
+		s.writeAnalysisError(w, err)
+		return
+	}
+	if hit {
+		w.Header().Set("X-Memgazed-Cache", "hit")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(vals[0][0])
+}
+
+// runDiff is the diff flight leader's work: obtain both sides'
+// fragments through analysisFragments (so a side someone already
+// analysed with the same parameters is a cache hit, a side being
+// analysed right now is joined, not recomputed, and a side owned by
+// another replica proxies to its owner), decode just the fields the
+// diff reads, and marshal the DiffReport. Detached from the requesting
+// client like every flight leader; each side's engine run bounds itself
+// with the server request timeout.
+func (s *Server) runDiff(sides [2]*analyzeTarget, req *DiffRequest, kinds []engine.Analysis) ([]byte, error) {
+	var reps [2]*engine.Report
+	for i, tg := range sides {
+		if !tg.local {
+			s.metrics.clusterProxied["analyze"].Add(1) // a remote side is a proxied analyze
+		}
+		frags, _, err := s.analysisFragments(s.baseCtx, tg, &req.AnalyzeRequest, kinds)
+		if err != nil {
+			return nil, err
+		}
+		if reps[i], err = diffSide(kinds, frags); err != nil {
 			return nil, fmt.Errorf("decoding report %s: %w", tg.id, err)
 		}
 	}
-	d := diff.Diff(&reps[0], &reps[1], diff.WithTopK(req.TopK))
-	b, err := json.Marshal(d)
+	b, err := json.Marshal(diff.Diff(reps[0], reps[1], diff.WithTopK(req.TopK)))
 	if err != nil {
 		return nil, fmt.Errorf("marshalling diff: %w", err)
 	}
-	s.results.Put(key, b)
 	return b, nil
 }

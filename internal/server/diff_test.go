@@ -184,20 +184,35 @@ func TestDiffCacheFlow(t *testing.T) {
 }
 
 // TestDeleteInvalidatesDiff pins InvalidateTrace: deleting either side
-// of a cached diff drops the diff entry and that side's analyze entry,
-// whether the id is the key's first or middle segment.
+// of a cached diff drops the diff entry and that side's fragments,
+// whether the id is the key's first or middle segment, and keeps the
+// other side's.
 func TestDeleteInvalidatesDiff(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	infoA := uploadTrace(t, hs.URL, diffTestTrace(5, 6, 50))
 	infoB := uploadTrace(t, hs.URL, diffTestTrace(6, 6, 50))
 
+	// entriesUnder counts resident entries touching id: its fragments
+	// (key "id|…") and diffs with id as either side ("a|b|digest").
+	entriesUnder := func(id string) int {
+		s.results.mu.Lock()
+		defer s.results.mu.Unlock()
+		n := 0
+		for key := range s.results.entries {
+			if strings.HasPrefix(key, id+"|") || strings.Contains(key, "|"+id+"|") {
+				n++
+			}
+		}
+		return n
+	}
+
 	diffBody := `{"a":"` + infoA.ID + `","b":"` + infoB.ID + `","analyses":["functions","mrc","confidence","interval-tree","zoom"]}`
 	if resp, b := postDiff(t, hs.URL, diffBody); resp.StatusCode != 200 {
 		t.Fatalf("diff: status %d: %s", resp.StatusCode, b)
 	}
-	// Two analyze entries plus the diff entry.
-	if got := s.results.Len(); got != 3 {
-		t.Fatalf("result cache entries = %d, want 3", got)
+	// Five fragments per side, one diff entry touching both.
+	if a, b := entriesUnder(infoA.ID), entriesUnder(infoB.ID); a != 6 || b != 6 {
+		t.Fatalf("entries under a, b = %d, %d; want 6, 6", a, b)
 	}
 
 	req, err := http.NewRequest("DELETE", hs.URL+"/v1/traces/"+infoB.ID, nil)
@@ -213,10 +228,13 @@ func TestDeleteInvalidatesDiff(t *testing.T) {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
 
-	// B was the diff key's middle segment: both its analyze entry and
-	// the diff entry must be gone, leaving only A's analyze entry.
-	if got := s.results.Len(); got != 1 {
-		t.Errorf("result cache entries after delete = %d, want 1", got)
+	// B was the diff key's middle segment: no entry under it survives,
+	// the diff entry included; A keeps its own fragments.
+	if got := entriesUnder(infoB.ID); got != 0 {
+		t.Errorf("entries under the deleted id = %d, want 0", got)
+	}
+	if got := entriesUnder(infoA.ID); got != 5 {
+		t.Errorf("entries under the surviving id = %d, want its 5 fragments", got)
 	}
 	if resp, b := postDiff(t, hs.URL, diffBody); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("diff after delete: status %d, want 404: %s", resp.StatusCode, b)

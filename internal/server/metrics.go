@@ -207,11 +207,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, store *Store, results *resultCach
 	fmt.Fprint(w, "# HELP memgazed_streams_in_flight Streamed uploads currently open.\n# TYPE memgazed_streams_in_flight gauge\n")
 	fmt.Fprintf(w, "memgazed_streams_in_flight %d\n", m.streamsInFlight.Load())
 
-	fmt.Fprint(w, "# HELP memgazed_result_cache_hits_total Analyze requests served from the result cache.\n# TYPE memgazed_result_cache_hits_total counter\n")
+	fmt.Fprint(w, "# HELP memgazed_result_cache_hits_total Analyze requests, diff sides and diffs served wholly from the result cache.\n# TYPE memgazed_result_cache_hits_total counter\n")
 	fmt.Fprintf(w, "memgazed_result_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprint(w, "# HELP memgazed_result_cache_misses_total Analyze requests that missed the result cache.\n# TYPE memgazed_result_cache_misses_total counter\n")
+	fmt.Fprint(w, "# HELP memgazed_result_cache_misses_total Analyze requests, diff sides and diffs that missed at least one result-cache entry.\n# TYPE memgazed_result_cache_misses_total counter\n")
 	fmt.Fprintf(w, "memgazed_result_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprint(w, "# HELP memgazed_singleflight_coalesced_total Analyze requests coalesced onto an in-flight identical request.\n# TYPE memgazed_singleflight_coalesced_total counter\n")
+	fmt.Fprint(w, "# HELP memgazed_singleflight_coalesced_total Analyze requests, diff sides and diffs that joined an entry another request was computing.\n# TYPE memgazed_singleflight_coalesced_total counter\n")
 	fmt.Fprintf(w, "memgazed_singleflight_coalesced_total %d\n", m.coalesced.Load())
 
 	fmt.Fprint(w, "# HELP memgazed_store_traces Traces resident in the store.\n# TYPE memgazed_store_traces gauge\n")
@@ -222,9 +222,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, store *Store, results *resultCach
 	fmt.Fprintf(w, "memgazed_store_budget_bytes %d\n", store.Budget())
 	fmt.Fprint(w, "# HELP memgazed_store_evictions_total Traces evicted under the byte budget.\n# TYPE memgazed_store_evictions_total counter\n")
 	fmt.Fprintf(w, "memgazed_store_evictions_total %d\n", store.Evictions())
-	fmt.Fprint(w, "# HELP memgazed_result_cache_bytes Bytes resident in the result cache.\n# TYPE memgazed_result_cache_bytes gauge\n")
+	fmt.Fprint(w, "# HELP memgazed_result_cache_bytes Bytes charged to the result cache: values, keys and per-entry overhead.\n# TYPE memgazed_result_cache_bytes gauge\n")
 	fmt.Fprintf(w, "memgazed_result_cache_bytes %d\n", results.UsedBytes())
-	fmt.Fprint(w, "# HELP memgazed_result_cache_entries Responses resident in the result cache.\n# TYPE memgazed_result_cache_entries gauge\n")
+	fmt.Fprint(w, "# HELP memgazed_result_cache_entries Entries resident in the result cache: one per cached analysis fragment or diff.\n# TYPE memgazed_result_cache_entries gauge\n")
 	fmt.Fprintf(w, "memgazed_result_cache_entries %d\n", results.Len())
 
 	if disk != nil {

@@ -220,14 +220,15 @@ func (e *peerDownError) write(w http.ResponseWriter) {
 var errNoLiveOwner = fmt.Errorf("no live owner")
 
 // fetchRemoteAnalysis is the analyze flight leader's work when this
-// replica holds no copy: POST the analyze body to id's live owners
-// along the owner walk under the cluster request timeout, detached from
-// any single client (s.baseCtx, like every flight leader). A 200 report
-// populates the local result cache under the same key a local analyze
-// would use, which is what makes the cache replica-local rather than
+// replica holds no copy: POST the analyze body — naming only the
+// analyses whose fragments are missing here — to id's live owners along
+// the owner walk under the cluster request timeout, detached from any
+// single client (s.baseCtx, like every flight leader). A 200 report is
+// split into fragments cached under the same keys a local run's would
+// be, which is what makes the cache replica-local rather than
 // owner-only. Any other answer — a 410 tombstone, the fleet-wide 404 —
 // is the owner's envelope, replayed verbatim.
-func (s *Server) fetchRemoteAnalysis(owners []string, id string, body []byte, key string) ([]byte, error) {
+func (s *Server) fetchRemoteAnalysis(owners []string, id string, body []byte) ([]byte, error) {
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
 	resp, at, down := s.askOwners(s.baseCtx, owners, http.MethodPost, "/v1/traces/"+id+"/analyze", hdr, body)
 	if down != nil {
@@ -241,7 +242,6 @@ func (s *Server) fetchRemoteAnalysis(owners []string, id string, body []byte, ke
 	if resp.StatusCode != http.StatusOK {
 		return nil, &relayError{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: b}
 	}
-	s.results.Put(key, b)
 	return b, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -39,7 +40,8 @@ type Config struct {
 	// evicts least-recently-used traces over it (default 256 MiB,
 	// negative = unbounded).
 	StoreBudgetBytes int64
-	// ResultCacheBytes bounds the marshalled-report result cache
+	// ResultCacheBytes bounds the result cache of per-analysis report
+	// fragments and finished diffs, keys and bookkeeping included
 	// (default 64 MiB, negative = disabled).
 	ResultCacheBytes int64
 	// Workers bounds concurrently executing analysis jobs across all
@@ -181,11 +183,12 @@ type Server struct {
 // store there; an unrecoverable data directory is the only error.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
+	results := newResultCache(cfg.ResultCacheBytes)
 	s := &Server{
 		cfg:     cfg,
 		store:   NewStore(cfg.StoreBudgetBytes),
-		results: newResultCache(cfg.ResultCacheBytes),
-		flights: newFlightGroup(),
+		results: results,
+		flights: newFlightGroup(results),
 		metrics: newMetrics(),
 		jobs:    make(chan func()),
 		quit:    make(chan struct{}),
@@ -911,21 +914,15 @@ type AnalyzeRequest struct {
 	HeatmapCols int `json:"heatmap_cols,omitempty"`
 }
 
-// engineOptions translates the request into engine options, leaving
-// engine defaults in place for zero fields.
+// engineOptions translates the request into engine options: the
+// requested analyses (see analyses) and every parameter, leaving engine
+// defaults in place for zero fields.
 func (q *AnalyzeRequest) engineOptions() ([]engine.Option, error) {
-	var opts []engine.Option
-	if len(q.Analyses) > 0 {
-		kinds := make([]engine.Analysis, 0, len(q.Analyses))
-		for _, name := range q.Analyses {
-			a, ok := engine.ParseAnalysis(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown analysis %q", name)
-			}
-			kinds = append(kinds, a)
-		}
-		opts = append(opts, engine.WithAnalyses(kinds...))
+	kinds, err := q.analyses()
+	if err != nil {
+		return nil, err
 	}
+	opts := []engine.Option{engine.WithAnalyses(kinds...)}
 	if q.BlockSize > 0 {
 		opts = append(opts, engine.WithBlockSize(q.BlockSize))
 	}
@@ -956,13 +953,41 @@ func (q *AnalyzeRequest) engineOptions() ([]engine.Option, error) {
 	return opts, nil
 }
 
-// cacheKey digests the normalised request under the trace id. The id
-// is a content hash, so the key captures (trace content, analysis set,
-// params) — the coalescing and result-cache identity.
-func (q *AnalyzeRequest) cacheKey(id string) string {
-	norm, _ := json.Marshal(q) // struct marshal: deterministic field order
+// analyses resolves the requested analysis names: each named analysis
+// once, in suite order, or the engine's default suite when none is
+// named. Neither the order nor the repetition of names changes a
+// Report, so requests that differ only there share every fragment.
+func (q *AnalyzeRequest) analyses() ([]engine.Analysis, error) {
+	if len(q.Analyses) == 0 {
+		return engine.DefaultAnalyses(), nil
+	}
+	var want uint64 // bit a: analysis a was named
+	for _, name := range q.Analyses {
+		a, ok := engine.ParseAnalysis(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown analysis %q", name)
+		}
+		want |= 1 << a
+	}
+	kinds := make([]engine.Analysis, 0, bits.OnesCount64(want))
+	for _, a := range allAnalyses {
+		if want&(1<<a) != 0 {
+			kinds = append(kinds, a)
+		}
+	}
+	return kinds, nil
+}
+
+// paramDigest is the hex SHA-256 of the normalised request with its
+// analysis list cleared: every parameter any analysis reads, and
+// nothing about which analyses were asked for. With the trace id (a
+// content hash) and an analysis name it keys that analysis's fragment.
+func (q *AnalyzeRequest) paramDigest() string {
+	p := *q
+	p.Analyses = nil
+	norm, _ := json.Marshal(&p) // struct marshal: deterministic field order
 	sum := sha256.Sum256(norm)
-	return id + "|" + hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // readRequest decodes a JSON request body into v, rejecting unknown
@@ -986,34 +1011,50 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool
 	return true
 }
 
-// analyzeTarget is where one trace's Report comes from after routing:
-// the local copy (tr set) or, when this replica holds none, the trace's
-// live remote owners in rendezvous order.
+// analyzeTarget is where one trace's fragments come from after
+// routing: the local copy when this replica holds one, or else the
+// trace's live remote owners in rendezvous order.
 type analyzeTarget struct {
 	id      string
-	tr      *trace.Trace
+	local   bool
 	remotes []string
 }
 
-// resolveTarget fetches id's local copy when plan makes this replica an
-// owner. An owner missing its copy falls back to the other owners; any
-// other fetch failure is returned for writeFetchError.
+// resolveTarget checks that this replica holds id when plan makes it an
+// owner — from the hot-tier index or the durable index, never the
+// payload, so a request the result cache answers reads no trace bytes.
+// An owner missing its copy falls back to the other owners; any other
+// failure (a tombstone, a disk fault) is returned for writeFetchError.
 func (s *Server) resolveTarget(id string, plan routePlan) (*analyzeTarget, error) {
 	tg := &analyzeTarget{id: id, remotes: plan.remotes}
 	if plan.local {
-		tr, _, err := s.fetch(id)
+		err := s.present(id)
 		if err != nil && !(errors.Is(err, storage.ErrNotFound) && len(plan.remotes) > 0) {
 			return nil, err
 		}
-		tg.tr = tr
+		tg.local = err == nil
 	}
 	return tg, nil
+}
+
+// present is infoFor without building the info: nil when this replica
+// holds id, else fetch's error taxonomy, read from the hot-tier index or
+// the durable index without touching the payload or its recency.
+func (s *Server) present(id string) error {
+	if s.store.Contains(id) {
+		return nil
+	}
+	if s.disk == nil {
+		return storage.ErrNotFound
+	}
+	_, _, err := s.disk.Info(id)
+	return err
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Served even with every owner down: the replica-local result cache
-	// may still hold the report, and only an uncached analyze is
+	// may still hold every fragment, and only an uncached analyze is
 	// peer_unavailable then.
 	plan, _ := s.planRoute(r, "analyze", id)
 	tg, err := s.resolveTarget(id, plan)
@@ -1025,70 +1066,154 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.readRequest(w, r, &req) {
 		return
 	}
-	opts, err := req.engineOptions()
+	kinds, err := req.analyses()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeUnknownAnalysis, "%v", err)
 		return
 	}
-	b, hit, err := s.reportBytes(r.Context(), tg, &req, opts)
-	if err == nil && hit {
+	frags, hit, err := s.analysisFragments(r.Context(), tg, &req, kinds)
+	if err != nil {
+		s.writeAnalysisError(w, err)
+		return
+	}
+	if hit {
 		w.Header().Set("X-Memgazed-Cache", "hit")
 	}
-	s.writeAnalysisResult(w, b, err)
+	w.Header().Set("Content-Type", "application/json")
+	writeReport(w, kinds, frags)
 }
 
-// reportBytes returns tg's marshalled Report under areq: the engine
-// over the local copy, or a proxied analyze along the owner walk when
-// this replica holds none. Both run behind the same result-cache key,
-// so the analyze endpoint and diff sides, local or proxied, share
-// cached Reports.
-func (s *Server) reportBytes(ctx context.Context, tg *analyzeTarget, areq *AnalyzeRequest, opts []engine.Option) (b []byte, hit bool, err error) {
-	key := areq.cacheKey(tg.id)
-	return s.cached(ctx, key, func() ([]byte, error) {
-		if tg.tr != nil {
-			return s.runAnalysis(tg.tr, key, opts)
+// analysisFragments returns tg's fragment of each of kinds (suite
+// order, no repeats) under req's parameters. Cached fragments cost a
+// lookup and no trace read; a missing one already being computed is
+// joined; one produceFragments run computes the rest. The analyze
+// endpoint and both diff sides, local or proxied, take this one path.
+// hit reports that every fragment was cached.
+func (s *Server) analysisFragments(ctx context.Context, tg *analyzeTarget, req *AnalyzeRequest, kinds []engine.Analysis) (frags []fragment, hit bool, err error) {
+	digest := req.paramDigest()
+	keys := make([]string, len(kinds))
+	for i, a := range kinds {
+		keys[i] = tg.id + "|" + digest + "|" + a.String()
+	}
+	return s.cached(ctx, keys, func(led []string) (map[string]fragment, error) {
+		missing := make([]engine.Analysis, len(led))
+		for i, key := range led {
+			missing[i], _ = engine.ParseAnalysis(key[strings.LastIndexByte(key, '|')+1:])
 		}
-		body, err := json.Marshal(areq)
+		members, err := s.produceFragments(tg, req, missing)
 		if err != nil {
-			return nil, fmt.Errorf("marshalling analyze request: %w", err)
+			return nil, err
 		}
-		return s.fetchRemoteAnalysis(tg.remotes, tg.id, body, key)
+		out := make(map[string]fragment, len(led))
+		for i, a := range missing {
+			f, err := fragmentOf(members, a)
+			if err != nil {
+				return nil, fmt.Errorf("report of %s: %w", tg.id, err)
+			}
+			out[led[i]] = f
+		}
+		return out, nil
 	})
 }
 
-// cached returns the bytes under key: a result-cache hit, or else one
-// singleflight execution of compute shared by every concurrent caller,
-// with the hit, miss, and coalesced accounting of both analyze and
-// diff. ctx bounds only this caller's wait (the leader's work is
-// detached, as always with the flight group).
-func (s *Server) cached(ctx context.Context, key string, compute func() ([]byte, error)) (b []byte, hit bool, err error) {
-	if b, ok := s.results.Get(key); ok {
+// cached returns the fragment under each of keys: result-cache hits,
+// or else joins of the ones in flight and one detached compute of the
+// rest, which the flight group caches (see flightGroup.Do), with the
+// hit, miss, and coalesced accounting of analyze and diff — one count
+// per call. ctx bounds only this caller's wait.
+func (s *Server) cached(ctx context.Context, keys []string, compute func(led []string) (map[string]fragment, error)) (vals []fragment, hit bool, err error) {
+	vals = make([]fragment, len(keys))
+	hit = true
+	for i, key := range keys {
+		vals[i], _ = s.results.Get(key)
+		hit = hit && vals[i] != nil
+	}
+	if hit {
 		s.metrics.cacheHits.Add(1)
-		return b, true, nil
+		return vals, true, nil
 	}
 	s.metrics.cacheMisses.Add(1)
-	b, err, joined := s.flights.Do(ctx, key, compute)
+	joined, err := s.flights.Do(ctx, keys, vals, compute)
 	if joined {
 		s.metrics.coalesced.Add(1)
 	}
-	return b, false, err
+	if err != nil {
+		return nil, false, err
+	}
+	return vals, false, nil
 }
 
-// writeAnalysisResult maps an analysis or diff outcome onto the wire:
-// the JSON bytes on success, the shared error taxonomy otherwise.
-func (s *Server) writeAnalysisResult(w http.ResponseWriter, b []byte, err error) {
+// produceFragments is the one producer of missing fragments: the
+// Report of exactly the missing analyses as one JSON text per top-level
+// field. On a replica holding the trace that is an engine run on the
+// local copy — the only place a request reads trace bytes — with each
+// field marshalled on its own (reportMembers); on one without, an
+// analyze of exactly those analyses along the owner walk, whose answer
+// is split. It runs as a flight leader, detached from any single
+// client.
+func (s *Server) produceFragments(tg *analyzeTarget, req *AnalyzeRequest, missing []engine.Analysis) (map[string]json.RawMessage, error) {
+	if tg.local {
+		tr, _, err := s.fetch(tg.id)
+		if err == nil {
+			rep, err := s.runAnalysis(tr, req, missing)
+			if err != nil {
+				return nil, err
+			}
+			return reportMembers(rep, missing)
+		}
+		if !errors.Is(err, storage.ErrNotFound) || len(tg.remotes) == 0 {
+			return nil, &fetchError{id: tg.id, err: err}
+		}
+		// The copy left since resolveTarget looked (a memory-only
+		// eviction); the other owners may still hold theirs.
+	}
+	sub := *req
+	sub.Analyses = make([]string, len(missing))
+	for i, a := range missing {
+		sub.Analyses[i] = a.String()
+	}
+	body, err := json.Marshal(&sub)
+	if err != nil {
+		return nil, fmt.Errorf("marshalling analyze request: %w", err)
+	}
+	b, err := s.fetchRemoteAnalysis(tg.remotes, tg.id, body)
+	if err != nil {
+		return nil, err
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(b, &members); err != nil {
+		return nil, fmt.Errorf("splitting the owner's report of %s: %w", tg.id, err)
+	}
+	return members, nil
+}
+
+// fetchError carries a flight leader's failed local read through the
+// flight group, so writeAnalysisError answers it as writeFetchError
+// does a failed resolveTarget.
+type fetchError struct {
+	id  string
+	err error
+}
+
+func (e *fetchError) Error() string { return fmt.Sprintf("reading trace %s: %v", e.id, e.err) }
+
+func (e *fetchError) Unwrap() error { return e.err }
+
+// writeAnalysisError maps a failed analysis or diff onto the shared
+// error taxonomy.
+func (s *Server) writeAnalysisError(w http.ResponseWriter, err error) {
 	var re *relayError
 	var pe *peerDownError
+	var fe *fetchError
 	switch {
-	case err == nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
 	case errors.As(err, &re):
 		// A proxied analysis the owner answered with an error: the
 		// owner's envelope is the answer, replayed verbatim.
 		re.write(w)
 	case errors.As(err, &pe):
 		pe.write(w)
+	case errors.As(err, &fe):
+		s.writeFetchError(w, fe.id, fe.err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, ErrCodeDeadlineExceeded, "analysis exceeded %v", s.cfg.RequestTimeout)
 	case errors.Is(err, context.Canceled):
@@ -1100,16 +1225,19 @@ func (s *Server) writeAnalysisResult(w http.ResponseWriter, b []byte, err error)
 	}
 }
 
-// runAnalysis is the singleflight leader's work: run one engine suite
-// on the shared worker pool under the server-scoped request timeout,
-// marshal the Report, and populate the result cache. It is detached
-// from any single client request, so a coalesced group keeps its
-// computation even if the first requester disconnects.
-func (s *Server) runAnalysis(tr *trace.Trace, key string, opts []engine.Option) ([]byte, error) {
+// runAnalysis runs one engine suite of kinds under req's parameters on
+// the shared worker pool, bounded by the server-scoped request timeout.
+// It is detached from any single client request, so a coalesced group
+// keeps its computation even if the first requester disconnects.
+func (s *Server) runAnalysis(tr *trace.Trace, req *AnalyzeRequest, kinds []engine.Analysis) (*engine.Report, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	opts = append(opts, engine.WithObserver(func(a engine.Analysis, d time.Duration) {
+	opts, err := req.engineOptions()
+	if err != nil {
+		return nil, err
+	}
+	opts = append(opts, engine.WithAnalyses(kinds...), engine.WithObserver(func(a engine.Analysis, d time.Duration) {
 		s.metrics.ObserveAnalysis(a.String(), d)
 	}))
 	if s.cfg.EngineParallelism > 0 {
@@ -1120,7 +1248,6 @@ func (s *Server) runAnalysis(tr *trace.Trace, key string, opts []engine.Option) 
 	}
 
 	var rep *engine.Report
-	var err error
 	done := make(chan struct{})
 	job := func() {
 		defer close(done)
@@ -1137,13 +1264,5 @@ func (s *Server) runAnalysis(tr *trace.Trace, key string, opts []engine.Option) 
 		return nil, context.Canceled
 	}
 	<-done // the engine honours ctx, so this returns promptly after expiry
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		return nil, fmt.Errorf("marshalling report: %w", err)
-	}
-	s.results.Put(key, b)
-	return b, nil
+	return rep, err
 }

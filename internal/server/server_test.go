@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,7 +373,10 @@ func TestResultCacheHit(t *testing.T) {
 
 // TestCoalescing pins the singleflight layer: K identical concurrent
 // requests run the engine once, all receive identical bytes, and the
-// coalesced counter (surfaced at /metrics) records K-1 joins.
+// coalesced counter (surfaced at /metrics) records K-1 joins. The gated
+// leader is released only once the join hook has seen every duplicate
+// attach to its flight, so no duplicate can arrive late, find the
+// leader's fragments already cached, and count as a hit instead.
 func TestCoalescing(t *testing.T) {
 	const K = 8
 	s, hs := newTestServer(t, Config{Workers: 2})
@@ -380,6 +384,8 @@ func TestCoalescing(t *testing.T) {
 
 	gate := make(chan struct{})
 	s.hookAnalyzeStart = func() { <-gate }
+	var joins atomic.Int64
+	s.flights.hookJoined = func() { joins.Add(1) }
 
 	var wg sync.WaitGroup
 	bodies := make([][]byte, K)
@@ -392,18 +398,19 @@ func TestCoalescing(t *testing.T) {
 			codes[i], bodies[i] = resp.StatusCode, b
 		}()
 	}
-	// Wait until all K requests have arrived (the request counter is
-	// bumped on arrival), then release the gated leader.
+	// Wait until the K-1 duplicates have joined the leader's flight,
+	// then release the gated leader.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.requests["analyze"].Load() < K {
+	for joins.Load() < K-1 {
 		if time.Now().After(deadline) {
-			t.Fatal("requests never all arrived")
+			t.Fatalf("only %d of %d duplicates joined", joins.Load(), K-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
 	wg.Wait()
 	s.hookAnalyzeStart = nil
+	s.flights.hookJoined = nil
 
 	for i := 0; i < K; i++ {
 		if codes[i] != 200 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -131,34 +132,58 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRU pins the byte-bounded LRU of responses.
+// TestResultCacheLRU pins the byte-bounded LRU of fragments: recency
+// order, over-budget values, and exact accounting of replacements and
+// invalidation, every entry charged entrySize.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(100)
-	c.Put("a", make([]byte, 40))
-	c.Put("b", make([]byte, 40))
-	if _, ok := c.Get("a"); !ok { // bump a
+	val := func(n int) fragment { return fragment{make([]byte, n)} }
+	unit := entrySize("a|d|f", val(40)) // every such key with a 40-byte value
+	c := newResultCache(2*unit + unit/2)
+	c.Put("a|d|f", val(40))
+	c.Put("b|d|f", val(40))
+	if _, ok := c.Get("a|d|f"); !ok { // bump a
 		t.Fatal("a missing")
 	}
-	c.Put("c", make([]byte, 40)) // evicts b (LRU)
-	if _, ok := c.Get("b"); ok {
+	c.Put("c|d|f", val(40)) // evicts b (LRU)
+	if _, ok := c.Get("b|d|f"); ok {
 		t.Error("b survived over-budget insert")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a|d|f"); !ok {
 		t.Error("recently used a evicted")
 	}
-	c.Put("huge", make([]byte, 200)) // larger than budget: not cached
+	c.Put("huge", val(int(3*unit))) // larger than budget: not cached
 	if _, ok := c.Get("huge"); ok {
 		t.Error("over-budget value cached")
 	}
-	c.Put("a", make([]byte, 60)) // replace: accounting must follow
-	if c.UsedBytes() != 100 {
-		t.Errorf("used = %d, want 100", c.UsedBytes())
+	c.Put("a|d|f", val(60)) // replace: accounting must follow
+	if want := entrySize("a|d|f", val(60)) + unit; c.UsedBytes() != want {
+		t.Errorf("used = %d, want %d", c.UsedBytes(), want)
 	}
-	c.InvalidatePrefix("a")
-	if _, ok := c.Get("a"); ok {
+	c.InvalidateTrace("a")
+	if _, ok := c.Get("a|d|f"); ok {
 		t.Error("a survived invalidation")
 	}
-	if c.Len() != 1 { // only c remains
-		t.Errorf("len = %d, want 1", c.Len())
+	if c.Len() != 1 || c.UsedBytes() != unit { // only c remains
+		t.Errorf("len = %d, used = %d; want 1, %d", c.Len(), c.UsedBytes(), unit)
+	}
+}
+
+// TestResultCacheBudgetBoundsBookkeeping fills a small budget with many
+// tiny fragments — the shape of a fragment cache — and checks that the
+// charged bytes never exceed the budget and that they count each
+// entry's key and overhead, not only its few value bytes.
+func TestResultCacheBudgetBoundsBookkeeping(t *testing.T) {
+	const budget = 4096
+	c := newResultCache(budget)
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("%064x|%064x|functions", i, i)
+		c.Put(key, fragment{json.RawMessage(`1`), json.RawMessage(`null`)})
+		if used := c.UsedBytes(); used > budget {
+			t.Fatalf("after %d puts: used %d > budget %d", i+1, used, budget)
+		}
+	}
+	// 5 value bytes each would fit all 500; keys and overhead fit few.
+	if most := budget / (2*64 + 2 + rcEntryOverhead); c.Len() == 0 || c.Len() > most {
+		t.Errorf("%d entries resident under a %d-byte budget, want 1..%d", c.Len(), budget, most)
 	}
 }

@@ -366,7 +366,6 @@ func cmdAnalyze(args []string) error {
 	doMRC := fs.Bool("mrc", false, "print the predicted LRU miss-ratio curve")
 	doHeatmap := fs.Bool("heatmap", false, "render the hottest region's location × time heatmap")
 	roiPct := fs.Float64("suggest-roi", 90, "suggest a region of interest covering this % of loads (0 disables)")
-	sweepShards := fs.Int("sweep-shards", 0, "sample shards per analysis trace walk (0 = GOMAXPROCS; output is identical at every count, so -sweep-shards=1 is purely a sequential-walk escape hatch for debugging)")
 	fs.Parse(args)
 	if *block == 0 {
 		return fmt.Errorf("-block must be positive")
@@ -416,7 +415,6 @@ func cmdAnalyze(args []string) error {
 		memgaze.WithBlockSize(*block),
 		memgaze.WithTimeIntervals(*intervals),
 		memgaze.WithROICoverage(*roiPct),
-		memgaze.WithSweepShards(*sweepShards),
 		memgaze.WithAnalyses(kinds...),
 	).Run(context.Background())
 	if err != nil {

@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	maxUpload := fs.Int64("max-upload", 256<<20, "maximum upload body bytes (enforced mid-stream on chunked uploads)")
 	buildWorkers := fs.Int("build-workers", 0, "samples decoded concurrently per PT-capture upload (0 = GOMAXPROCS)")
 	streamChunk := fs.Int("stream-chunk", 0, "read granularity of streamed uploads in bytes (0 = 256 KiB); peak streamed-build memory is O(stream-chunk × build-workers)")
-	sweepShards := fs.Int("sweep-shards", 0, "sample shards per analysis trace walk (0 = GOMAXPROCS, 1 = sequential; output is identical at every count)")
 	dataDir := fs.String("data-dir", "", "durable trace storage directory: uploads write through to an on-disk segment store and survive restarts (empty = in-memory only)")
 	peers := fs.String("peers", "", "comma-separated static replica set (advertise addresses, this replica included); each trace id is owned by its top -replication replicas via rendezvous hashing and requests proxy transparently to the first live owner (empty = a cluster of one that owns every trace)")
 	advertise := fs.String("advertise", "", "this replica's own address exactly as listed in -peers (required with -peers)")
@@ -98,7 +97,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		MaxUploadBytes:   *maxUpload,
 		BuildWorkers:     *buildWorkers,
 		StreamChunkBytes: *streamChunk,
-		SweepShards:      *sweepShards,
 		DataDir:          *dataDir,
 		Peers:            splitPeers(*peers),
 		Advertise:        *advertise,

@@ -34,23 +34,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSweep(ctx, tr, 64, SweepEverything); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepSharded measures the sharded sweep at GOMAXPROCS
-// shards; run with -cpu=1,4 to see the map-reduce scaling and the
-// single-core overhead bound.
-func BenchmarkSweepSharded(b *testing.B) {
-	tr := benchTrace(256, 512)
-	st := StatsOf(tr)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewSweepSharded(ctx, tr, 64, SweepEverything, 0, st); err != nil {
+		if _, err := NewSweep(ctx, tr, 64, SweepEverything, Stats{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func SampleConfidenceCtx(ctx context.Context, t *trace.Trace, ix *AddrIndex, cfg
 	}
 
 	if samplesOf == nil || recordsOf == nil {
-		sw, err := NewSweep(ctx, t, cfg.BlockSize, SweepPresence)
+		sw, err := NewSweep(ctx, t, cfg.BlockSize, SweepPresence, Stats{})
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func halfTrace(t *trace.Trace, parity int) *trace.Trace {
 }
 
 func diagF(ctx context.Context, ix *AddrIndex, t *trace.Trace, blockSize uint64) (map[string]float64, error) {
-	diags, err := ix.FunctionDiagnostics(ctx, t, blockSize, 1, Stats{})
+	diags, err := ix.FunctionDiagnostics(ctx, t, blockSize, Stats{})
 	if err != nil {
 		return nil, err
 	}

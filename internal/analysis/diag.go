@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
-	"github.com/memgaze/memgaze-go/internal/pool"
 	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
@@ -288,10 +287,8 @@ func lineKey(procID uint32, line int32) diagKey {
 // keyedDiagnostics aggregates the trace into code windows keyed per
 // procedure or per line (byLine) and computes each window's Diag with
 // the kernel. One radix sort groups the records by key, each group in
-// record order; groups are independent windows, so shards split the
-// keys — contiguous runs of groups balanced by record count, one kernel
-// each — and the result is byte-identical at every shard count.
-func (ix *AddrIndex) keyedDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats, byLine bool) ([]*Diag, error) {
+// record order, and one kernel walks the groups in key order.
+func (ix *AddrIndex) keyedDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, st Stats, byLine bool) ([]*Diag, error) {
 	if !ix.covers(t) {
 		return nil, errForeignTrace
 	}
@@ -307,71 +304,36 @@ func (ix *AddrIndex) keyedDiagnostics(ctx context.Context, t *trace.Trace, block
 		return nil, err
 	}
 	bounds := groupBounds(keys)
-	groups := len(bounds) - 1
 	procs := t.Procs()
-	out := make([]*Diag, groups)
+	out := make([]*Diag, len(bounds)-1)
 	br, blocks := ix.blockRanks(blockSize)
-	walk := func(ctx context.Context, glo, ghi int) error {
-		if glo == ghi {
-			return nil
-		}
-		k := ix.kernel(t, br, blocks)
-		for g := glo; g < ghi; g++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			k.addGroup(recs[bounds[g]:bounds[g+1]])
-			key := diagKey(keys[bounds[g]])
-			name := procs[uint32(key>>32)]
-			if byLine {
-				name = fmt.Sprintf("%s:%d", name, int32(uint32(key)))
-			}
-			out[g] = k.Diag(name, st.Rho)
-		}
-		return nil
-	}
-	shards = resolveShards(shards, groups)
-	if shards <= 1 {
-		if err := walk(ctx, 0, groups); err != nil {
+	k := ix.kernel(t, br, blocks)
+	for g := range out {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	} else {
-		tasks := make([]func(context.Context) error, shards)
-		g := 0
-		for i := range tasks {
-			// Shard i ends at the first group boundary past its share of
-			// the records.
-			glo, want := g, len(recs)*(i+1)/shards
-			for g < groups && (bounds[g] < want || g == glo) {
-				g++
-			}
-			if i == shards-1 {
-				g = groups
-			}
-			ghi := g
-			tasks[i] = func(ctx context.Context) error { return walk(ctx, glo, ghi) }
+		k.addGroup(recs[bounds[g]:bounds[g+1]])
+		key := diagKey(keys[bounds[g]])
+		name := procs[uint32(key>>32)]
+		if byLine {
+			name = fmt.Sprintf("%s:%d", name, int32(uint32(key)))
 		}
-		if err := pool.Run(ctx, shards, tasks); err != nil {
-			return nil, err
-		}
+		out[g] = k.Diag(name, st.Rho)
 	}
 	sortByHotness(out)
 	return out, nil
 }
 
 // FunctionDiagnostics computes the per-procedure code windows of t — the
-// indexed trace or a sample view of it — over contiguous key shards
-// walked concurrently, byte-identical to the sequential result at every
-// shard count. shards <= 0 selects GOMAXPROCS; shards == 1 is the
-// sequential path. st may carry precomputed trace Stats (zero means
-// compute on demand).
-func (ix *AddrIndex) FunctionDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
-	return ix.keyedDiagnostics(ctx, t, blockSize, shards, st, false)
+// indexed trace or a sample view of it. st may carry precomputed trace
+// Stats (zero means compute on demand).
+func (ix *AddrIndex) FunctionDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, st Stats) ([]*Diag, error) {
+	return ix.keyedDiagnostics(ctx, t, blockSize, st, false)
 }
 
 // LineDiagnostics is FunctionDiagnostics at source-line granularity.
-func (ix *AddrIndex) LineDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, shards int, st Stats) ([]*Diag, error) {
-	return ix.keyedDiagnostics(ctx, t, blockSize, shards, st, true)
+func (ix *AddrIndex) LineDiagnostics(ctx context.Context, t *trace.Trace, blockSize uint64, st Stats) ([]*Diag, error) {
+	return ix.keyedDiagnostics(ctx, t, blockSize, st, true)
 }
 
 // FunctionDiagnostics aggregates the trace into code windows — one per
@@ -390,7 +352,7 @@ func FunctionDiagnosticsCtx(ctx context.Context, t *trace.Trace, blockSize uint6
 	if err != nil {
 		return nil, err
 	}
-	return ix.FunctionDiagnostics(ctx, t, blockSize, 1, Stats{})
+	return ix.FunctionDiagnostics(ctx, t, blockSize, Stats{})
 }
 
 // LineDiagnostics aggregates the trace into source-line code windows
@@ -408,7 +370,7 @@ func LineDiagnosticsCtx(ctx context.Context, t *trace.Trace, blockSize uint64) (
 	if err != nil {
 		return nil, err
 	}
-	return ix.LineDiagnostics(ctx, t, blockSize, 1, Stats{})
+	return ix.LineDiagnostics(ctx, t, blockSize, Stats{})
 }
 
 // Region is an address range [Lo, Hi) with a display name.

@@ -63,8 +63,8 @@ func (ix *AddrIndex) Kernel(t *trace.Trace, blockSize uint64) (*DiagKernel, erro
 	return ix.kernel(t, br, blocks), nil
 }
 
-// kernel builds a kernel on precomputed block ranks, so sharded callers
-// compute them once for all their workers.
+// kernel builds a kernel on precomputed block ranks. It inlines, so a
+// caller that keeps its kernel local keeps it off the heap.
 func (ix *AddrIndex) kernel(t *trace.Trace, br []uint32, blocks int) *DiagKernel {
 	return &DiagKernel{
 		ix: ix, t: t, brank: br,

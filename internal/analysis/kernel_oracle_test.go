@@ -99,8 +99,8 @@ func diagsDiff(got, want []*Diag) string {
 }
 
 // checkDiagKernel compares every kernel-backed diagnostic of tr against
-// the map oracle, bit for bit: code windows at several shard counts,
-// regions, and whole-sample windows. When parent is non-nil, tr is a
+// the map oracle, bit for bit: code windows, regions, and whole-sample
+// windows. When parent is non-nil, tr is a
 // sample view of the trace parent indexes, and the view's diagnostics
 // are checked both on the view's own index and on the borrowed one.
 func checkDiagKernel(t *testing.T, tr *trace.Trace, parent *AddrIndex, regions []Region, blockSize uint64, rng *rand.Rand) {
@@ -118,23 +118,21 @@ func checkDiagKernel(t *testing.T, tr *trace.Trace, parent *AddrIndex, regions [
 	wantLines := oracleKeyed(tr, blockSize, true)
 	wantRegions := oracleRegions(tr, regions, blockSize)
 	for _, ix := range indexes {
-		for _, shards := range []int{1, 2, 3, 64} {
-			got, err := ix.FunctionDiagnostics(ctx, tr, blockSize, shards, Stats{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := diagsDiff(got, wantFuncs); d != "" {
-				t.Fatalf("functions, %d shards, borrowed=%v: %s", shards, ix != own, d)
-			}
-			got, err = ix.LineDiagnostics(ctx, tr, blockSize, shards, Stats{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := diagsDiff(got, wantLines); d != "" {
-				t.Fatalf("lines, %d shards, borrowed=%v: %s", shards, ix != own, d)
-			}
+		got, err := ix.FunctionDiagnostics(ctx, tr, blockSize, Stats{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err := ix.RegionDiagnostics(ctx, tr, regions, blockSize)
+		if d := diagsDiff(got, wantFuncs); d != "" {
+			t.Fatalf("functions, borrowed=%v: %s", ix != own, d)
+		}
+		got, err = ix.LineDiagnostics(ctx, tr, blockSize, Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diagsDiff(got, wantLines); d != "" {
+			t.Fatalf("lines, borrowed=%v: %s", ix != own, d)
+		}
+		got, err = ix.RegionDiagnostics(ctx, tr, regions, blockSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +250,7 @@ func TestAddrIndexRejectsForeignTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := trace.Merge([]*trace.Trace{tr})
-	if _, err := ix.FunctionDiagnostics(context.Background(), clone, 64, 1, Stats{}); !errors.Is(err, errForeignTrace) {
+	if _, err := ix.FunctionDiagnostics(context.Background(), clone, 64, Stats{}); !errors.Is(err, errForeignTrace) {
 		t.Errorf("foreign trace: err = %v, want errForeignTrace", err)
 	}
 	if _, err := ix.Kernel(clone, 64); !errors.Is(err, errForeignTrace) {

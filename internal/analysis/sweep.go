@@ -30,9 +30,7 @@ import (
 //
 // The flat analysis functions route through a sweep restricted to their
 // own part, so their results are unchanged; the engine requests all
-// parts at once and shares the result. NewSweepSharded (sweep_sharded.go)
-// partitions the walk across sample shards and reduces to the identical
-// result.
+// parts at once and shares the result.
 
 // SweepParts selects which products a sweep computes.
 type SweepParts uint
@@ -132,15 +130,10 @@ func mapHint(records int) int { return min(records/4, 1<<20) }
 
 // NewSweep walks the trace once and computes the requested parts.
 // blockSize applies to the distance profile; the interval histogram is
-// exact-address as in ReuseIntervalHistogram. It returns ctx.Err() as
+// exact-address as in ReuseIntervalHistogram. st may carry precomputed
+// trace Stats (zero means compute on demand). It returns ctx.Err() as
 // soon as the context is done.
-func NewSweep(ctx context.Context, t *trace.Trace, blockSize uint64, parts SweepParts) (*TraceSweep, error) {
-	return newSweepSeq(ctx, t, blockSize, parts, Stats{})
-}
-
-// newSweepSeq is the sequential sweep with an optionally precomputed
-// Stats (zero means compute on demand).
-func newSweepSeq(ctx context.Context, t *trace.Trace, blockSize uint64, parts SweepParts, st Stats) (*TraceSweep, error) {
+func NewSweep(ctx context.Context, t *trace.Trace, blockSize uint64, parts SweepParts, st Stats) (*TraceSweep, error) {
 	sw := &TraceSweep{BlockSize: blockSize}
 	addrs, procIDs := t.Addrs(), t.ProcIDs()
 	nrec := t.NumRecords()
@@ -278,9 +271,8 @@ func intervalBuckets(intraB, interB *[maxLog]int) []IntervalBucket {
 // finishDistances turns the walk's raw distance state into the final
 // ReuseProfile: trigger gaps become capped inter-sample distance
 // estimates, and excess survivals are relabeled using the block
-// population (Good–Turing over the block multiset). The sharded reduce
-// calls it with merged state; the order of gaps must be stream order
-// for the leftover replication to be deterministic.
+// population (Good–Turing over the block multiset). gaps are in stream
+// order, which makes the leftover replication deterministic.
 func finishDistances(t *trace.Trace, p *ReuseProfile, gaps []float64, blockCounts map[uint64]int, bpaSum float64, bpaN, accesses int, st Stats) {
 	if accesses == 0 {
 		return

@@ -94,7 +94,7 @@ func (d *derived) FuncDiags(ctx context.Context) ([]*analysis.Diag, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ix.FunctionDiagnostics(ctx, d.t, d.opts.BlockSize, d.opts.SweepShards, st)
+		return ix.FunctionDiagnostics(ctx, d.t, d.opts.BlockSize, st)
 	})
 }
 
@@ -106,7 +106,7 @@ func (d *derived) Sweep(ctx context.Context) (*analysis.TraceSweep, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analysis.NewSweepSharded(ctx, d.t, d.opts.BlockSize, d.sweepParts, d.opts.SweepShards, st)
+		return analysis.NewSweep(ctx, d.t, d.opts.BlockSize, d.sweepParts, st)
 	})
 }
 

@@ -24,9 +24,10 @@
 //     requested output, so callers consume one value instead of wiring
 //     a dozen return values together.
 //
-// Analyses run on a bounded worker pool (Options.Parallelism); on a
-// single CPU the suite still beats sequential flat calls because the
-// shared derived layer removes whole trace passes.
+// Analyses run on a bounded worker pool (Options.Parallelism), the
+// engine's one layer of parallelism: each trace walk inside an analysis
+// is sequential. On a single CPU the suite still beats sequential flat
+// calls because the shared derived layer removes whole trace passes.
 package engine
 
 import (

@@ -147,13 +147,6 @@ type Options struct {
 	Confidence analysis.ConfidenceConfig
 	// Parallelism bounds concurrent analyses (default GOMAXPROCS).
 	Parallelism int
-	// SweepShards splits the derived layer's trace walks (the
-	// stack-distance sweep, function diagnostics, global populations,
-	// sorted addresses) into that many contiguous sample shards walked
-	// concurrently. Results are byte-identical at every shard count
-	// (see analysis.NewSweepSharded). 0 selects GOMAXPROCS; 1 forces
-	// the sequential walks.
-	SweepShards int
 	// Analyses selects the suite (default DefaultAnalyses).
 	Analyses []Analysis
 	// Observer, when non-nil, is called after each analysis completes
@@ -199,16 +192,6 @@ func WithWindows(w []uint64) Option {
 // WithParallelism bounds the number of analyses running concurrently.
 func WithParallelism(n int) Option {
 	return func(o *Options) { o.Parallelism = n }
-}
-
-// WithSweepShards splits the derived layer's trace walks into n
-// contiguous sample shards walked concurrently, with results
-// byte-identical to the sequential walks at every shard count. 0 (the
-// default) selects GOMAXPROCS; 1 forces the sequential path — a
-// reproducibility escape hatch for debugging, not for output (output
-// does not vary with n).
-func WithSweepShards(n int) Option {
-	return func(o *Options) { o.SweepShards = n }
 }
 
 // WithAnalyses selects the analyses to run.

@@ -13,9 +13,7 @@ import (
 //
 // It is the shared concurrency primitive of the analysis engine and the
 // trace-build pipeline (internal/pt); workers <= 0 selects GOMAXPROCS.
-// The implementation lives in internal/pool so the analysis layer's
-// sharded trace walks run on the same primitive (same cancellation and
-// no-leak guarantees) without an import cycle.
+// The implementation lives in internal/pool.
 func RunPool(ctx context.Context, workers int, tasks []func(context.Context) error) error {
 	return pool.Run(ctx, workers, tasks)
 }

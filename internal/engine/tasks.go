@@ -31,7 +31,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 		if err != nil {
 			return err
 		}
-		diags, err := ix.LineDiagnostics(ctx, a.t, a.opts.BlockSize, a.opts.SweepShards, st)
+		diags, err := ix.LineDiagnostics(ctx, a.t, a.opts.BlockSize, st)
 		if err != nil {
 			return err
 		}

@@ -61,7 +61,7 @@ type StreamIngestPoint struct {
 }
 
 // BenchResult is the machine-readable benchmark report the CI
-// regression gate consumes (committed as BENCH_9.json).
+// regression gate consumes (committed as BENCH_<N>.json).
 type BenchResult struct {
 	GoVersion  string              `json:"go_version"`
 	ChunkBytes int                 `json:"chunk_bytes"`
@@ -72,14 +72,9 @@ type BenchResult struct {
 	// format with the columnar delta+varint v3 format on the same O0
 	// miniVite trace — the frame-chatter-heavy case §III-B's
 	// compression argument targets. v3 must not be larger.
-	EncodedV2Bytes int64 `json:"encoded_v2_bytes,omitempty"`
-	EncodedV3Bytes int64 `json:"encoded_v3_bytes,omitempty"`
-	// SweepSequentialNs is the sequential (1-shard) time of the
-	// sweep_sharded gate workload — informational, not gated: on
-	// multi-core machines sharded/sequential shows the map-reduce
-	// speedup; on one CPU the two coincide.
-	SweepSequentialNs int64  `json:"sweep_sequential_ns"`
-	Text              string `json:"-"`
+	EncodedV2Bytes int64  `json:"encoded_v2_bytes,omitempty"`
+	EncodedV3Bytes int64  `json:"encoded_v3_bytes,omitempty"`
+	Text           string `json:"-"`
 }
 
 // benchTrace synthesises a deterministic trace for the serve benchmark.
@@ -648,26 +643,16 @@ func warmBoot(traces int) (opStats, error) {
 	})
 }
 
-// sweepSharded measures the sample-sharded stack-distance sweep (all
-// parts, GOMAXPROCS shards) over a large synthetic trace, best of reps
-// — the derived layer's hot walk behind MRC, reuse intervals, and
-// confidence. The sequential time rides along so multi-core runs show
-// the map-reduce speedup; the gate entry tracks the sharded time, which
-// on one CPU equals the sequential path (shards resolve to 1).
-func sweepSharded(tr *trace.Trace, reps int) (sharded, sequential opStats, err error) {
+// sweep measures the stack-distance sweep (all parts, precomputed
+// Stats as the engine passes them) over a large synthetic trace, best
+// of reps — the derived layer's hot walk behind MRC, reuse intervals,
+// and confidence.
+func sweep(tr *trace.Trace, reps int) (opStats, error) {
 	st := analysis.StatsOf(tr)
-	sharded, err = bestOf(reps, func() error {
-		_, err := analysis.NewSweepSharded(context.Background(), tr, 64, analysis.SweepEverything, 0, st)
+	return bestOf(reps, func() error {
+		_, err := analysis.NewSweep(context.Background(), tr, 64, analysis.SweepEverything, st)
 		return err
 	})
-	if err != nil {
-		return opStats{}, opStats{}, err
-	}
-	sequential, err = bestOf(reps, func() error {
-		_, err := analysis.NewSweepSharded(context.Background(), tr, 64, analysis.SweepEverything, 1, st)
-		return err
-	})
-	return sharded, sequential, err
 }
 
 // buildPooled measures one pooled (GOMAXPROCS-worker) build of a
@@ -803,15 +788,14 @@ func Bench(s Sizes) (*BenchResult, error) {
 	}
 	gate("build_pooled", pooled)
 
-	// The sharded sweep over a large trace: samples scale with the
-	// workload sizes so quick/full control runtime here too.
+	// The sweep over a large trace: samples scale with the workload
+	// sizes so quick/full control runtime here too.
 	sweepTr := benchTrace(s.MicroReps*4, 512)
-	shardedNs, seqNs, err := sweepSharded(sweepTr, 5)
+	sweepNs, err := sweep(sweepTr, 5)
 	if err != nil {
-		return nil, fmt.Errorf("sweep sharded: %w", err)
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	gate("sweep_sharded", shardedNs)
-	res.SweepSequentialNs = seqNs.Ns
+	gate("sweep", sweepNs)
 
 	diffNs, err := diffServed(100)
 	if err != nil {
@@ -897,11 +881,6 @@ func Bench(s Sizes) (*BenchResult, error) {
 	gt := report.NewTable("Gated benchmarks (best-of-reps)", "name", "ns/op", "allocs/op", "B/op")
 	for _, m := range res.Gate {
 		gt.Add(m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
-	}
-	if res.SweepSequentialNs > 0 && shardedNs.Ns > 0 {
-		gt.Add("sweep_sequential (info)", res.SweepSequentialNs, "", "")
-		gt.Add(fmt.Sprintf("sweep speedup ×%d cores", res.Workers),
-			fmt.Sprintf("%.2fx", float64(res.SweepSequentialNs)/float64(shardedNs.Ns)), "", "")
 	}
 	st := report.NewTable("Streamed vs buffered ingest (chunked decode from disk)",
 		"capture", "records", "streamed", "buffered", "stream overhead", "buffered overhead")

@@ -541,8 +541,8 @@ func TestBenchRuns(t *testing.T) {
 	if len(res.Gate) != 9 {
 		t.Fatalf("gate metrics = %d, want 9", len(res.Gate))
 	}
-	if got := res.Gate[2].Name; got != "sweep_sharded" {
-		t.Errorf("gate[2] = %q, want sweep_sharded", got)
+	if got := res.Gate[2].Name; got != "sweep" {
+		t.Errorf("gate[2] = %q, want sweep", got)
 	}
 	if got := res.Gate[3].Name; got != "diff_served" {
 		t.Errorf("gate[3] = %q, want diff_served", got)
@@ -564,9 +564,6 @@ func TestBenchRuns(t *testing.T) {
 	}
 	if res.EncodedV3Bytes <= 0 || res.EncodedV3Bytes >= res.EncodedV2Bytes {
 		t.Errorf("v3 O0 wire size %dB not smaller than v2 %dB", res.EncodedV3Bytes, res.EncodedV2Bytes)
-	}
-	if res.SweepSequentialNs <= 0 {
-		t.Errorf("sweep_sequential_ns = %d, want > 0", res.SweepSequentialNs)
 	}
 	for _, m := range res.Gate {
 		if m.NsPerOp <= 0 {

@@ -1,8 +1,5 @@
-// Package pool provides the bounded worker pool shared by the analyzer
-// engine, the trace-build pipeline, and the analysis layer's sharded
-// trace walks. It lives below all of them so that internal/analysis can
-// fan work out on the same primitive the engine schedules analyses on,
-// without an import cycle.
+// Package pool provides the bounded worker pool behind engine.RunPool,
+// which the analyzer engine and the trace-build pipeline share.
 package pool
 
 import (

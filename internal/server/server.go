@@ -52,11 +52,6 @@ type Config struct {
 	// EngineParallelism bounds analyses running concurrently within one
 	// suite run (default: the engine's own default, GOMAXPROCS).
 	EngineParallelism int
-	// SweepShards splits each analysis's trace walks into that many
-	// concurrently walked sample shards; results are byte-identical at
-	// every shard count (default: the engine's own default, GOMAXPROCS;
-	// 1 forces sequential walks).
-	SweepShards int
 	// RequestTimeout bounds one analysis execution; expiry answers 504
 	// (default 30s).
 	RequestTimeout time.Duration
@@ -1242,9 +1237,6 @@ func (s *Server) runAnalysis(tr *trace.Trace, req *AnalyzeRequest, kinds []engin
 	}))
 	if s.cfg.EngineParallelism > 0 {
 		opts = append(opts, engine.WithParallelism(s.cfg.EngineParallelism))
-	}
-	if s.cfg.SweepShards != 0 {
-		opts = append(opts, engine.WithSweepShards(s.cfg.SweepShards))
 	}
 
 	var rep *engine.Report

@@ -257,10 +257,6 @@ var (
 	WithWindows = engine.WithWindows
 	// WithParallelism bounds the number of analyses running concurrently.
 	WithParallelism = engine.WithParallelism
-	// WithSweepShards splits each analysis's trace walks into n sample
-	// shards walked concurrently; output is byte-identical at every
-	// shard count (0 = GOMAXPROCS, 1 = sequential).
-	WithSweepShards = engine.WithSweepShards
 	// WithAnalyses selects the analyses to run.
 	WithAnalyses = engine.WithAnalyses
 	// WithRegions sets the regions of AnalyzeRegions.

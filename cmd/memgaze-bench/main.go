@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -116,8 +117,8 @@ func main() {
 
 // runBenchGate runs the gated benchmark suite, optionally writes the
 // JSON results, and optionally compares gated metrics against a
-// committed baseline (matching by name; metrics present only on one
-// side are reported but never gate).
+// committed baseline, matching rows by name. A gated row the baseline
+// lacks fails the gate; a baseline row the run lacks is ignored.
 func runBenchGate(sizes experiments.Sizes, jsonPath, gatePath string, threshold float64) error {
 	res, err := experiments.Bench(sizes)
 	if err != nil {
@@ -147,25 +148,38 @@ func runBenchGate(sizes experiments.Sizes, jsonPath, gatePath string, threshold 
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", gatePath, err)
 	}
+	if !gateOK(os.Stdout, res.Gate, base.Gate, threshold) {
+		return fmt.Errorf("gated benchmarks regressed beyond %.0f%% of %s, or are missing from it", threshold, gatePath)
+	}
+	return nil
+}
+
+// gateOK prints one line per gated metric of cur against base and
+// reports whether none regressed beyond threshold percent and every
+// row of cur has a baseline.
+func gateOK(w io.Writer, cur, base []experiments.BenchMetric, threshold float64) bool {
 	baseline := map[string]experiments.BenchMetric{}
-	for _, m := range base.Gate {
+	for _, m := range base {
 		baseline[m.Name] = m
 	}
-	regressed := false
+	ok := true
 	check := func(name, unit string, cur, old int64) {
 		pct := 100 * (float64(cur) - float64(old)) / float64(old)
 		verdict := "ok"
 		if pct > threshold {
 			verdict = "REGRESSED"
-			regressed = true
+			ok = false
 		}
-		fmt.Printf("gate %-14s %12d %-9s baseline %12d  %+6.1f%%  %s\n",
+		fmt.Fprintf(w, "gate %-14s %12d %-9s baseline %12d  %+6.1f%%  %s\n",
 			name, cur, unit, old, pct, verdict)
 	}
-	for _, m := range res.Gate {
-		old, ok := baseline[m.Name]
-		if !ok || old.NsPerOp <= 0 {
-			fmt.Printf("gate %-14s %12d ns/op     (no baseline, not gated)\n", m.Name, m.NsPerOp)
+	for _, m := range cur {
+		old, found := baseline[m.Name]
+		if !found || old.NsPerOp <= 0 {
+			// A row the baseline lacks would otherwise never be gated:
+			// re-record the baseline with it.
+			fmt.Fprintf(w, "gate %-14s %12d ns/op     MISSING from the baseline\n", m.Name, m.NsPerOp)
+			ok = false
 			continue
 		}
 		check(m.Name, "ns/op", m.NsPerOp, old.NsPerOp)
@@ -178,10 +192,7 @@ func runBenchGate(sizes experiments.Sizes, jsonPath, gatePath string, threshold 
 			check(m.Name, "B/op", m.BytesPerOp, old.BytesPerOp)
 		}
 	}
-	if regressed {
-		return fmt.Errorf("gated benchmarks regressed beyond %.0f%% of %s", threshold, gatePath)
-	}
-	return nil
+	return ok
 }
 
 func runAblations(s experiments.Sizes) (string, error) {

@@ -85,6 +85,18 @@ func (ix *AddrIndex) Rank(j int) int { return int(ix.ranks[j-ix.base]) }
 // errForeignTrace reports a trace whose records the index does not rank.
 var errForeignTrace = errors.New("analysis: trace is not the address index's trace or a sample view of it")
 
+// indexFor returns ix if it covers t, a new index of t if ix is nil,
+// and errForeignTrace otherwise.
+func indexFor(ctx context.Context, t *trace.Trace, ix *AddrIndex) (*AddrIndex, error) {
+	if ix == nil {
+		return BuildAddrIndex(ctx, t)
+	}
+	if !ix.covers(t) {
+		return nil, errForeignTrace
+	}
+	return ix, nil
+}
+
 // covers reports whether every sample of t is a sample of the indexed
 // trace over the same columns: t is the indexed trace or a sample view
 // of it (SampleSlice, FilterSamples), so its records have ranks. Such a
@@ -123,17 +135,17 @@ func (ix *AddrIndex) covers(t *trace.Trace) bool {
 	return true
 }
 
-// blockRanks maps each distinct address's rank to the rank of its
-// block at the given block size (0 means 64, as for StackDist): the
-// addresses are sorted, so their blocks are too, and one linear pass
-// numbers them.
-func (ix *AddrIndex) blockRanks(blockSize uint64) (br []uint32, blocks int) {
+// blockRanks maps each of the sorted distinct addrs (an index's, or a
+// rank range of them) to the rank of its block at the given block size
+// (0 means 64, as for StackDist): the addresses are sorted, so their
+// blocks are too, and one linear pass numbers them.
+func blockRanks(addrs []uint64, blockSize uint64) (br []uint32, blocks int) {
 	if blockSize == 0 {
 		blockSize = 64
 	}
-	br = make([]uint32, len(ix.addrs))
-	for r, a := range ix.addrs {
-		if r == 0 || a/blockSize != ix.addrs[r-1]/blockSize {
+	br = make([]uint32, len(addrs))
+	for r, a := range addrs {
+		if r == 0 || a/blockSize != addrs[r-1]/blockSize {
 			blocks++
 		}
 		br[r] = uint32(blocks - 1)
@@ -141,9 +153,9 @@ func (ix *AddrIndex) blockRanks(blockSize uint64) (br []uint32, blocks int) {
 	return br, blocks
 }
 
-// rankRange returns the rank range [lo, hi) of the distinct addresses
+// RankRange returns the rank range [lo, hi) of the distinct addresses
 // falling in the address range [alo, ahi).
-func (ix *AddrIndex) rankRange(alo, ahi uint64) (lo, hi int) {
+func (ix *AddrIndex) RankRange(alo, ahi uint64) (lo, hi int) {
 	lo = sort.Search(len(ix.addrs), func(i int) bool { return ix.addrs[i] >= alo })
 	hi = lo + sort.Search(len(ix.addrs)-lo, func(i int) bool { return ix.addrs[lo+i] >= ahi })
 	return lo, hi

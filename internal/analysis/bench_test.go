@@ -26,15 +26,19 @@ func benchTrace(samples, recs int) *trace.Trace {
 	return tr
 }
 
-// BenchmarkSweep measures the sequential full sweep; -benchmem shows
-// the per-sample scratch maps are reused rather than reallocated.
+// BenchmarkSweep measures the full sweep over a prebuilt address index,
+// as the engine runs it.
 func BenchmarkSweep(b *testing.B) {
 	tr := benchTrace(256, 512)
 	ctx := context.Background()
+	ix, err := BuildAddrIndex(ctx, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSweep(ctx, tr, 64, SweepEverything, Stats{}); err != nil {
+		if _, err := NewSweep(ctx, tr, ix, 64, SweepEverything, Stats{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,15 +68,13 @@ func SampleConfidence(t *trace.Trace, cfg ConfidenceConfig) []Confidence {
 // their diagnostics borrow the index's per-record ranks.
 func SampleConfidenceCtx(ctx context.Context, t *trace.Trace, ix *AddrIndex, cfg ConfidenceConfig, samplesOf, recordsOf map[string]int) ([]Confidence, error) {
 	cfg.fill()
-	if ix == nil {
-		var err error
-		if ix, err = BuildAddrIndex(ctx, t); err != nil {
-			return nil, err
-		}
+	ix, err := indexFor(ctx, t, ix)
+	if err != nil {
+		return nil, err
 	}
 
 	if samplesOf == nil || recordsOf == nil {
-		sw, err := NewSweep(ctx, t, cfg.BlockSize, SweepPresence, Stats{})
+		sw, err := NewSweep(ctx, t, ix, cfg.BlockSize, SweepPresence, Stats{})
 		if err != nil {
 			return nil, err
 		}

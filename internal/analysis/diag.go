@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -306,7 +307,7 @@ func (ix *AddrIndex) keyedDiagnostics(ctx context.Context, t *trace.Trace, block
 	bounds := groupBounds(keys)
 	procs := t.Procs()
 	out := make([]*Diag, len(bounds)-1)
-	br, blocks := ix.blockRanks(blockSize)
+	br, blocks := blockRanks(ix.addrs, blockSize)
 	k := ix.kernel(t, br, blocks)
 	for g := range out {
 		if err := ctx.Err(); err != nil {
@@ -448,7 +449,7 @@ func (ix *AddrIndex) RegionOf(regions []Region) []int32 {
 		regionOf[r] = -1
 	}
 	for i, g := range regions {
-		lo, hi := ix.rankRange(g.Lo, g.Hi)
+		lo, hi := ix.RankRange(g.Lo, g.Hi)
 		for r := lo; r < hi; r++ {
 			if regionOf[r] < 0 {
 				regionOf[r] = int32(i)
@@ -456,6 +457,122 @@ func (ix *AddrIndex) RegionOf(regions []Region) []int32 {
 		}
 	}
 	return regionOf
+}
+
+// RegionCode is the record count of one region at one source location.
+type RegionCode struct {
+	Region int    // index into the regions
+	Proc   uint32 // interned procedure id
+	Line   int32
+	Count  int
+}
+
+// RegionCodes counts the records of t — the indexed trace or a sample
+// view of it — per region and (procedure, line) source location, a
+// record counting for the first region containing its address as in
+// RegionDiagnostics. The counts come ordered by procedure id, line and
+// region.
+//
+// No map is built. Source locations get dense ids from each
+// procedure's line span over the records the regions hold, and one
+// pass counts the records in a table indexed by region and location id.
+// When the table would outgrow the trace — line numbers spread far
+// apart — the records are grouped by location with the radix sort of
+// the code windows instead, and a per-region count array splits each
+// group.
+func (ix *AddrIndex) RegionCodes(ctx context.Context, t *trace.Trace, regions []Region) ([]RegionCode, error) {
+	if !ix.covers(t) {
+		return nil, errForeignTrace
+	}
+	regionOf := ix.RegionOf(regions)
+	procIDs, lines := t.ProcIDs(), t.Lines()
+	// Each procedure's line span [lo, hi]; hi < lo when it has no
+	// record in a region.
+	nproc := len(t.Procs())
+	lo := make([]int32, nproc)
+	hi := make([]int32, nproc)
+	for p := range lo {
+		lo[p], hi[p] = math.MaxInt32, math.MinInt32
+	}
+	n := 0
+	for si := 0; si < t.NumSamples(); si++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		jlo, jhi := t.SampleRange(si)
+		for j := jlo; j < jhi; j++ {
+			if regionOf[ix.ranks[j-ix.base]] >= 0 {
+				p, l := procIDs[j], lines[j]
+				lo[p], hi[p] = min(lo[p], l), max(hi[p], l)
+				n++
+			}
+		}
+	}
+	// off[p] is the id of procedure p's line lo[p].
+	off := make([]int64, nproc+1)
+	for p := range lo {
+		off[p+1] = off[p] + max(int64(hi[p])-int64(lo[p])+1, 0)
+	}
+	ids, budget := off[nproc], int64(max(n, 1<<12))
+	if ids > budget || ids*int64(len(regions)) > budget {
+		return ix.regionCodesSorted(ctx, t, regions, regionOf)
+	}
+	cnt := make([]int, int(ids)*len(regions))
+	for si := 0; si < t.NumSamples(); si++ {
+		jlo, jhi := t.SampleRange(si)
+		for j := jlo; j < jhi; j++ {
+			if g := regionOf[ix.ranks[j-ix.base]]; g >= 0 {
+				p := procIDs[j]
+				cnt[int64(g)*ids+off[p]+int64(lines[j])-int64(lo[p])]++
+			}
+		}
+	}
+	var out []RegionCode
+	for p := range lo {
+		for l := int64(lo[p]); l <= int64(hi[p]); l++ {
+			id := off[p] + l - int64(lo[p])
+			for g := range regions {
+				if c := cnt[int64(g)*ids+id]; c > 0 {
+					out = append(out, RegionCode{Region: g, Proc: uint32(p), Line: int32(l), Count: c})
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// regionCodesSorted is RegionCodes grouping the records by location
+// with a radix sort, for line numbers too spread out to index densely.
+func (ix *AddrIndex) regionCodesSorted(ctx context.Context, t *trace.Trace, regions []Region, regionOf []int32) ([]RegionCode, error) {
+	// The key flips the line's sign bit, so lines sort as signed.
+	procIDs, lines := t.ProcIDs(), t.Lines()
+	keys, recs, err := recordGroups(ctx, t, ix.base, func(j int) (uint64, bool) {
+		return uint64(procIDs[j])<<32 | uint64(uint32(lines[j])^1<<31), regionOf[ix.ranks[j-ix.base]] >= 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	bounds := groupBounds(keys)
+	counts := make([]int, len(regions))
+	var touched []int32
+	var out []RegionCode
+	for g := 0; g+1 < len(bounds); g++ {
+		for _, rec := range recs[bounds[g]:bounds[g+1]] {
+			l := regionOf[ix.ranks[rec]]
+			if counts[l] == 0 {
+				touched = append(touched, l)
+			}
+			counts[l]++
+		}
+		slices.Sort(touched)
+		key := keys[bounds[g]]
+		for _, l := range touched {
+			out = append(out, RegionCode{Region: int(l), Proc: uint32(key >> 32), Line: int32(uint32(key) ^ 1<<31), Count: counts[l]})
+			counts[l] = 0
+		}
+		touched = touched[:0]
+	}
+	return out, nil
 }
 
 // BlocksTouched returns the number of distinct blocks of the given size

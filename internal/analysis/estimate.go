@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
@@ -111,8 +112,10 @@ func LatticePopulation(sorted []uint64) float64 {
 	return pop
 }
 
-// latticePopulation is LatticePopulation sorting its gaps in a buffer
-// the caller reuses: it returns the grown buffer.
+// latticePopulation is LatticePopulation collecting its gaps in a
+// buffer the caller reuses: it returns the grown buffer. The pitch is
+// the gaps' median — their len/2-th smallest — taken by selection, not
+// by sorting them.
 func latticePopulation(sorted, gaps []uint64) (float64, []uint64) {
 	if len(sorted) < 4 {
 		return 0, gaps
@@ -126,8 +129,7 @@ func latticePopulation(sorted, gaps []uint64) (float64, []uint64) {
 	if len(gaps) == 0 {
 		return 1, gaps
 	}
-	slices.Sort(gaps)
-	pitch := gaps[len(gaps)/2]
+	pitch := selectKth(gaps, len(gaps)/2)
 	if pitch == 0 {
 		return 0, gaps
 	}
@@ -147,4 +149,48 @@ func latticePopulation(sorted, gaps []uint64) (float64, []uint64) {
 	}
 	pop += float64((prev-clusterStart)/pitch) + 1
 	return pop, gaps
+}
+
+// selectKth returns the k-th smallest of a (0-based), reordering a: a
+// quickselect on median-of-three pivots, expected linear time, that
+// falls back to sorting the remaining range if its partitions stop
+// shrinking. Any order statistic is one value however it is found, so
+// the result equals a sorted a[k].
+func selectKth(a []uint64, k int) uint64 {
+	lo, hi := 0, len(a) // a[k] lies in a[lo:hi]
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 16; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			return a[k]
+		}
+		// Median of three as the pivot, then a three-way partition:
+		// [lo, lt) < pivot, [lt, gt) == pivot, [gt, hi) > pivot.
+		m := lo + (hi-lo)/2
+		x, y, z := a[lo], a[m], a[hi-1]
+		pivot := max(min(x, y), min(max(x, y), z))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -18,11 +19,7 @@ import (
 // Per-address state (access count, first-touch class) lives in arrays
 // indexed by address rank, with a list of the ranks the window touched
 // so finishing and resetting cost O(touched), not O(distinct). Reuse
-// distance is the StackDist scheme without its map: a Fenwick tree
-// sized to the current run and a last-access position per block rank.
-// Positions grow over the kernel's lifetime and a run starts past every
-// earlier position, so a block last seen before the run reads as unseen
-// and the array never needs clearing.
+// distance comes from a ReuseTracker, one run per sample.
 //
 // The Diag is bit-identical to a DiagAccum fed the same records: every
 // statistic it reads of the address multiset is an integer count, the
@@ -33,21 +30,17 @@ import (
 type DiagKernel struct {
 	ix      *AddrIndex
 	t       *trace.Trace
-	brank   []uint32 // block rank per address rank
 	implied []uint32
 	classes []byte
 
 	cnt     []uint32 // window accesses per address rank
 	cls     []byte   // window first-touch class per address rank
 	touched []uint32 // ranks with cnt > 0
-	last    []int    // kernel position of each block rank's latest access
-	bit     []int32  // Fenwick tree over the run's positions, 1-based
-	runN    int      // the tree's logical size: the run's length
-	pos     int      // records added over the kernel's lifetime
-	run     int      // pos when the current run started
+	dist    ReuseTracker
 	tot     diagTotals
 
 	ranks   []uint32 // finish scratch: sorted strided ranks
+	bitmap  []uint64 // sortRanks scratch
 	strided []uint64
 	gaps    []uint64
 }
@@ -59,7 +52,7 @@ func (ix *AddrIndex) Kernel(t *trace.Trace, blockSize uint64) (*DiagKernel, erro
 	if !ix.covers(t) {
 		return nil, errForeignTrace
 	}
-	br, blocks := ix.blockRanks(blockSize)
+	br, blocks := blockRanks(ix.addrs, blockSize)
 	return ix.kernel(t, br, blocks), nil
 }
 
@@ -67,23 +60,12 @@ func (ix *AddrIndex) Kernel(t *trace.Trace, blockSize uint64) (*DiagKernel, erro
 // caller that keeps its kernel local keeps it off the heap.
 func (ix *AddrIndex) kernel(t *trace.Trace, br []uint32, blocks int) *DiagKernel {
 	return &DiagKernel{
-		ix: ix, t: t, brank: br,
+		ix: ix, t: t,
 		implied: t.Implied(), classes: t.Classes(),
 		cnt:  make([]uint32, len(ix.addrs)),
 		cls:  make([]byte, len(ix.addrs)),
-		last: make([]int, blocks),
+		dist: ReuseTracker{brank: br, last: make([]int, blocks)},
 	}
-}
-
-// startRun begins a run of m records: reuse distances restart.
-func (k *DiagKernel) startRun(m int) {
-	if m+1 > len(k.bit) {
-		k.bit = make([]int32, max(m+1, 2*len(k.bit)))
-	} else {
-		clear(k.bit[:m+1])
-	}
-	k.runN = m
-	k.run = k.pos
 }
 
 // add feeds record j (an absolute column index) to the window.
@@ -96,57 +78,16 @@ func (k *DiagKernel) add(j int) {
 		k.cls[r] = c
 	}
 	k.cnt[r]++
-	b := k.brank[r]
-	k.pos++
-	p := k.pos - k.run
-	bit, n := k.bit, k.runN
-	if l := k.last[b]; l > k.run {
-		// Distinct blocks whose latest access lies strictly between the
-		// two accesses — one mark per block, at its latest position — is
-		// prefix(p-1) - prefix(prev). The two descents share every node
-		// below the point where they meet, so stop there.
-		prev := l - k.run
-		d := 0
-		for i, j := p-1, prev; i != j; {
-			if i > j {
-				d += int(bit[i])
-				i -= i & -i
-			} else {
-				d -= int(bit[j])
-				j -= j & -j
-			}
-		}
+	if d := k.dist.Access(int(r)); d >= 0 {
 		k.tot.reuse(d)
-		// Move the block's mark from prev to p: above the point where
-		// the two ascents meet, the -1 and +1 cancel.
-		for i, j := prev, p; i != j; {
-			if i < j {
-				if i > n {
-					break
-				}
-				bit[i]--
-				i += i & -i
-			} else {
-				if j > n {
-					break
-				}
-				bit[j]++
-				j += j & -j
-			}
-		}
-	} else {
-		for i := p; i <= n; i += i & -i {
-			bit[i]++
-		}
 	}
-	k.last[b] = k.pos
 }
 
 // AddSample feeds all records of sample si of the kernel's trace as one
 // run.
 func (k *DiagKernel) AddSample(si int) {
 	lo, hi := k.t.SampleRange(si)
-	k.startRun(hi - lo)
+	k.dist.StartRun(hi - lo)
 	for j := lo; j < hi; j++ {
 		k.add(j)
 	}
@@ -165,7 +106,7 @@ func (k *DiagKernel) addGroup(recs []uint32) {
 		for e < len(recs) && base+int(recs[e]) < hi {
 			e++
 		}
-		k.startRun(e - i)
+		k.dist.StartRun(e - i)
 		for ; i < e; i++ {
 			k.add(base + int(recs[i]))
 		}
@@ -205,7 +146,7 @@ func (k *DiagKernel) Diag(name string, rho float64) *Diag {
 		}
 		k.cnt[r] = 0
 	}
-	slices.Sort(ranks)
+	k.bitmap = sortRanks(ranks, k.bitmap)
 	strided := k.strided[:0]
 	for _, r := range ranks {
 		strided = append(strided, k.ix.addrs[r])
@@ -223,7 +164,7 @@ func (k *DiagKernel) Diag(name string, rho float64) *Diag {
 // dst, returning the grown buffer and the window's RunSet, and resets
 // the window.
 func (k *DiagKernel) AppendRuns(dst []AddrRun) ([]AddrRun, RunSet) {
-	slices.Sort(k.touched)
+	k.bitmap = sortRanks(k.touched, k.bitmap)
 	start := len(dst)
 	for _, r := range k.touched {
 		dst = append(dst, AddrRun{addr: k.ix.addrs[r], nc: uint64(k.cnt[r])<<2 | uint64(k.cls[r])})
@@ -251,6 +192,45 @@ func (k *DiagKernel) RunsDiag(name string, rs RunSet, rho float64) *Diag {
 	lattice, k.gaps = latticePopulation(strided, k.gaps)
 	k.strided = strided
 	return rs.tot.diag(name, rho, &as, lattice)
+}
+
+// sortRanks sorts distinct ranks ascending and returns the bitmap
+// scratch, grown. Ranks that fill a large share of their span — at
+// least one per 64 ranks, so every bitmap word holds one on average —
+// are set in a presence bitmap over the span and read back in order in
+// O(span/64 + n); sparser ones keep slices.Sort.
+func sortRanks(ranks []uint32, bitmap []uint64) []uint64 {
+	if len(ranks) < 2 {
+		return bitmap
+	}
+	lo, hi := ranks[0], ranks[0]
+	for _, r := range ranks[1:] {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	span := int(hi-lo) + 1
+	if span > 64*len(ranks) {
+		slices.Sort(ranks)
+		return bitmap
+	}
+	words := (span + 63) / 64
+	if words > cap(bitmap) {
+		bitmap = make([]uint64, words)
+	} else {
+		bitmap = bitmap[:words]
+		clear(bitmap)
+	}
+	for _, r := range ranks {
+		o := r - lo
+		bitmap[o/64] |= 1 << (o % 64)
+	}
+	i := 0
+	for w, x := range bitmap {
+		for ; x != 0; x &= x - 1 {
+			ranks[i] = lo + uint32(w*64+bits.TrailingZeros64(x))
+			i++
+		}
+	}
+	return bitmap
 }
 
 // recordGroups buckets the records of t's samples by key: keyOf maps an

@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
@@ -310,4 +312,87 @@ func FuzzDiagKernel(f *testing.F) {
 			checkDiagKernel(t, tr.FilterSamples(func(si int) bool { return si%2 == 0 }), ix, regions, blockSize, rng)
 		}
 	})
+}
+
+// oracleRegionCodes is the map count of RegionCodes: per region, a map
+// keyed by (procedure id, line), ordered by procedure, line and region.
+func oracleRegionCodes(t *trace.Trace, regions []Region) []RegionCode {
+	type key struct {
+		region int
+		proc   uint32
+		line   int32
+	}
+	counts := map[key]int{}
+	procIDs, lines, addrs := t.ProcIDs(), t.Lines(), t.Addrs()
+	for si := 0; si < t.NumSamples(); si++ {
+		lo, hi := t.SampleRange(si)
+		for j := lo; j < hi; j++ {
+			for g, reg := range regions {
+				if reg.Contains(addrs[j]) {
+					counts[key{g, procIDs[j], lines[j]}]++
+					break
+				}
+			}
+		}
+	}
+	var out []RegionCode
+	for k, c := range counts {
+		out = append(out, RegionCode{Region: k.region, Proc: k.proc, Line: k.line, Count: c})
+	}
+	slices.SortFunc(out, func(a, b RegionCode) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Region, b.Region))
+	})
+	return out
+}
+
+// TestRegionCodesMatchOracle pins both ways RegionCodes counts — the
+// dense location table and the radix grouping it falls back to when
+// lines spread too far — to the map count, on traces, their sample
+// views on a borrowed index, and traces whose lines span the int32
+// range.
+func TestRegionCodesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ctx := context.Background()
+	check := func(tr *trace.Trace, ix *AddrIndex, regions []Region) {
+		t.Helper()
+		want := oracleRegionCodes(tr, regions)
+		got, err := ix.RegionCodes(ctx, tr, regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			t.Fatalf("RegionCodes = %v, want %v", got, want)
+		}
+		sorted, err := ix.regionCodesSorted(ctx, tr, regions, ix.RegionOf(regions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sorted) != len(want) || (len(want) > 0 && !slices.Equal(sorted, want)) {
+			t.Fatalf("regionCodesSorted = %v, want %v", sorted, want)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		tr := randomDiagTrace(rng)
+		if i%3 == 0 {
+			// Lines across the int32 range force the radix grouping.
+			spread := &trace.Trace{Module: "spread", Period: tr.Period}
+			for si := 0; si < tr.NumSamples(); si++ {
+				spread.AddSample(si, 0, 0)
+				for _, r := range tr.SampleRecords(si) {
+					r.Line = int32(rng.Uint32())
+					spread.AppendRecord(&r)
+				}
+			}
+			tr = spread
+		}
+		regions := randomRegions(rng)
+		ix, err := BuildAddrIndex(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tr, ix, regions)
+		if tr.NumSamples() > 2 {
+			check(tr.FilterSamples(func(si int) bool { return si%3 != 1 }), ix, regions)
+		}
+	}
 }

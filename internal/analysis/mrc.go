@@ -110,7 +110,7 @@ func (p *ReuseProfile) MissRatioBoundsAll(capacities []int) []MRCBound {
 // ReuseProfileOf collects the trace's reuse-distance profile at the
 // given block granularity — one sweep, reusable across capacities.
 func ReuseProfileOf(ctx context.Context, t *trace.Trace, blockSize uint64) (*ReuseProfile, error) {
-	sw, err := NewSweep(ctx, t, blockSize, SweepDistances, Stats{})
+	sw, err := NewSweep(ctx, t, nil, blockSize, SweepDistances, Stats{})
 	if err != nil {
 		return nil, err
 	}

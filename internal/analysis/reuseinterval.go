@@ -35,7 +35,7 @@ type IntervalBucket struct {
 // enclosing triggers (the R3 estimate). It is one product of the shared
 // trace sweep (NewSweep with SweepIntervals).
 func ReuseIntervalHistogram(t *trace.Trace) []IntervalBucket {
-	sw, _ := NewSweep(context.Background(), t, 64, SweepIntervals, Stats{})
+	sw, _ := NewSweep(context.Background(), t, nil, 64, SweepIntervals, Stats{})
 	if sw == nil {
 		return nil
 	}

@@ -120,3 +120,96 @@ func (s *StackDist) N() int { return s.n }
 
 // BlockSize returns the tracker's block granularity.
 func (s *StackDist) BlockSize() uint64 { return s.blockSize }
+
+// ReuseTracker is StackDist over an address index's block ranks, with
+// no map: the reuse-distance machinery the Diag kernel, the trace sweep
+// and the heatmap share. Accesses are fed as runs (a sample, or a
+// window's records of one sample), and distances restart with each run.
+//
+// Each block rank keeps the position of its latest access, counted over
+// the tracker's lifetime. A run starts past every earlier position, so
+// a block last seen before the run reads as unseen and the array never
+// needs clearing; a Fenwick tree sized to the run holds a 1 at each
+// block's latest position within it, so a reuse distance is a
+// prefix-sum difference, as in StackDist.
+type ReuseTracker struct {
+	lo    int      // first address rank tracked
+	brank []uint32 // block rank per address rank, from lo
+	last  []int    // lifetime position of each block rank's latest access; 0 = never
+	bit   []int32  // Fenwick tree over the run's positions, 1-based
+	runN  int      // the tree's logical size: the run's capacity
+	pos   int      // accesses over the tracker's lifetime
+	run   int      // pos when the current run started
+}
+
+// ReuseTracker returns a tracker over the index's address ranks
+// [lo, hi) at the given block size (0 means 64, as for StackDist).
+func (ix *AddrIndex) ReuseTracker(lo, hi int, blockSize uint64) *ReuseTracker {
+	br, blocks := blockRanks(ix.addrs[lo:hi], blockSize)
+	return &ReuseTracker{lo: lo, brank: br, last: make([]int, blocks)}
+}
+
+// StartRun begins a run of at most m accesses: reuse distances restart.
+func (rt *ReuseTracker) StartRun(m int) {
+	if m+1 > len(rt.bit) {
+		rt.bit = make([]int32, max(m+1, 2*len(rt.bit)))
+	} else {
+		clear(rt.bit[:m+1])
+	}
+	rt.runN = m
+	rt.run = rt.pos
+}
+
+// Access records an access to the address of rank r and returns its
+// reuse distance within the run: the distinct other blocks accessed
+// since the previous access to the same block, or -1 if the block is
+// new to the run.
+func (rt *ReuseTracker) Access(r int) int { return rt.access(rt.brank[r-rt.lo]) }
+
+// access is Access on a block rank.
+func (rt *ReuseTracker) access(b uint32) int {
+	rt.pos++
+	p := rt.pos - rt.run
+	bit, n := rt.bit, rt.runN
+	d := -1
+	if l := rt.last[b]; l > rt.run {
+		// Distinct blocks whose latest access lies strictly between the
+		// two accesses — one mark per block, at its latest position — is
+		// prefix(p-1) - prefix(prev). The two descents share every node
+		// below the point where they meet, so stop there.
+		prev := l - rt.run
+		d = 0
+		for i, j := p-1, prev; i != j; {
+			if i > j {
+				d += int(bit[i])
+				i -= i & -i
+			} else {
+				d -= int(bit[j])
+				j -= j & -j
+			}
+		}
+		// Move the block's mark from prev to p: above the point where
+		// the two ascents meet, the -1 and +1 cancel.
+		for i, j := prev, p; i != j; {
+			if i < j {
+				if i > n {
+					break
+				}
+				bit[i]--
+				i += i & -i
+			} else {
+				if j > n {
+					break
+				}
+				bit[j]++
+				j += j & -j
+			}
+		}
+	} else {
+		for i := p; i <= n; i += i & -i {
+			bit[i]++
+		}
+	}
+	rt.last[b] = rt.pos
+	return d
+}

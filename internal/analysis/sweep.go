@@ -63,22 +63,18 @@ type TraceSweep struct {
 	SamplesOf, RecordsOf map[string]int
 }
 
-// sighting is the last observation of a block or address: the trigger
-// load count of its sample and the sample's index.
-type sighting struct {
-	trigger uint64
-	sample  int
-}
-
 // maxLog bounds the log2 reuse-interval histogram.
 const maxLog = 40
 
-// ibucket maps an interval length to its log2 histogram bucket.
+// ibucket maps an interval length to its log2 histogram bucket. The
+// last bucket also holds every longer interval: trigger gaps come from
+// the trace, and an uploaded one may claim any 64-bit gap, a
+// decreasing trigger included (it wraps).
 func ibucket(v uint64) int {
 	if v == 0 {
 		return 0
 	}
-	return bits.Len64(v) - 1
+	return min(bits.Len64(v)-1, maxLog-1)
 }
 
 // presence is the dense per-procedure presence state: counts indexed by
@@ -123,63 +119,66 @@ func (p *presence) fold(names []string) (samplesOf, recordsOf map[string]int) {
 	return samplesOf, recordsOf
 }
 
-// mapHint sizes a map that will hold roughly one entry per distinct
-// block or address: pre-sizing skips the intermediate bucket arrays an
-// incrementally grown map allocates and discards.
-func mapHint(records int) int { return min(records/4, 1<<20) }
-
 // NewSweep walks the trace once and computes the requested parts.
 // blockSize applies to the distance profile; the interval histogram is
-// exact-address as in ReuseIntervalHistogram. st may carry precomputed
-// trace Stats (zero means compute on demand). It returns ctx.Err() as
-// soon as the context is done.
-func NewSweep(ctx context.Context, t *trace.Trace, blockSize uint64, parts SweepParts, st Stats) (*TraceSweep, error) {
+// exact-address as in ReuseIntervalHistogram. ix is an address index
+// covering t (t's own, or the index of the trace t is a sample view
+// of); nil builds one when the distance or interval part needs it. st
+// may carry precomputed trace Stats (zero means compute on demand). It
+// returns ctx.Err() as soon as the context is done.
+//
+// Every per-block and per-address state is a flat array indexed by the
+// index's block or address rank: a ReuseTracker measures the distances,
+// and lifetime positions — which only grow — tell a sighting earlier in
+// the current sample from one in an earlier sample, so nothing is
+// cleared between samples.
+func NewSweep(ctx context.Context, t *trace.Trace, ix *AddrIndex, blockSize uint64, parts SweepParts, st Stats) (*TraceSweep, error) {
 	sw := &TraceSweep{BlockSize: blockSize}
-	addrs, procIDs := t.Addrs(), t.ProcIDs()
-	nrec := t.NumRecords()
+	if parts&(SweepDistances|SweepIntervals) != 0 {
+		var err error
+		if ix, err = indexFor(ctx, t, ix); err != nil {
+			return nil, err
+		}
+	}
+	procIDs := t.ProcIDs()
 
 	var pres *presence
 	if parts&SweepPresence != 0 {
 		pres = newPresence(len(t.Procs()))
 	}
 
-	// Distance-profile state (block granularity).
+	// Distance-profile state, per block rank: the trigger of the
+	// block's latest sample and its access count.
 	var (
 		p           = &ReuseProfile{}
-		sd          *StackDist
-		lastSeen    map[uint64]sighting
+		dist        *ReuseTracker
+		blockTrig   []uint64
+		blockCounts []uint32
 		gaps        []float64 // trigger gaps of R3 reuses, in stream order
-		blockCounts map[uint64]int
 		bpaSum      float64
 		bpaN        int
 		accesses    int
 	)
 	if parts&SweepDistances != 0 {
-		sd = NewStackDist(blockSize)
-		// Block-keyed maps stay far smaller than address-keyed ones —
-		// several records share a block — so hint a quarter as much.
-		lastSeen = make(map[uint64]sighting, mapHint(nrec)/4)
-		blockCounts = make(map[uint64]int, mapHint(nrec)/4)
+		dist = ix.ReuseTracker(0, len(ix.addrs), blockSize)
+		blockTrig = make([]uint64, len(dist.last))
+		blockCounts = make([]uint32, len(dist.last))
 		// Nearly every cross-sample reuse lands one gap entry; size the
 		// slice once instead of paying the append growth tax.
-		gaps = make([]float64, 0, min(nrec, 1<<20))
+		gaps = make([]float64, 0, min(t.NumRecords(), 1<<20))
 	}
 
-	// Interval-histogram state (exact addresses). One sighting map
-	// carries both the last sample index and its trigger.
+	// Interval-histogram state, per address rank: the sweep position of
+	// the address's latest access (0 = never) and its sample's trigger.
 	var intraB, interB [maxLog]int
-	var lastAddr map[uint64]sighting
+	var addrPos []int
+	var addrTrig []uint64
 	if parts&SweepIntervals != 0 {
-		lastAddr = make(map[uint64]sighting, mapHint(nrec))
+		addrPos = make([]int, len(ix.addrs))
+		addrTrig = make([]uint64, len(ix.addrs))
 	}
 
-	// Per-sample scratch, reused across samples (clear keeps capacity, so
-	// the inner loop stops paying one map allocation per sample).
-	var seenAddr map[uint64]int // addr -> record index (intervals)
-	if parts&SweepIntervals != 0 {
-		seenAddr = map[uint64]int{}
-	}
-
+	pos := 0 // records swept so far
 	for si := 0; si < t.NumSamples(); si++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -187,68 +186,71 @@ func NewSweep(ctx context.Context, t *trace.Trace, blockSize uint64, parts Sweep
 		info := t.SampleInfo(si)
 		lo, hi := info.Lo, info.Hi
 		trigger := info.TriggerLoads
-		if parts&SweepDistances != 0 && hi > lo {
-			sd.Reset()
+		run := pos
+		if dist != nil {
+			dist.StartRun(hi - lo)
 		}
-		if seenAddr != nil {
-			clear(seenAddr)
-		}
+		blocks := 0 // distinct blocks of the sample
 		for j := lo; j < hi; j++ {
-			addr := addrs[j]
-
-			if parts&SweepPresence != 0 {
+			pos++
+			if pres != nil {
 				pres.add(procIDs[j], si)
 			}
+			if dist == nil && addrPos == nil {
+				continue
+			}
+			r := ix.ranks[j-ix.base]
 
-			if parts&SweepIntervals != 0 {
-				if prev, ok := seenAddr[addr]; ok {
-					intraB[ibucket(uint64(j-lo-prev))]++
-				} else if ls, ok := lastAddr[addr]; ok && ls.sample != si {
+			if addrPos != nil {
+				if l := addrPos[r]; l > run {
+					intraB[ibucket(uint64(pos-l))]++
+				} else if l > 0 {
 					// R3: estimate the interval as the load-counter
 					// distance between the two samples' triggers.
-					if d := trigger - ls.trigger; d > 0 {
+					if d := trigger - addrTrig[r]; d > 0 {
 						interB[ibucket(d)]++
 					}
 				}
-				seenAddr[addr] = j - lo
-				lastAddr[addr] = sighting{trigger: trigger, sample: si}
+				addrPos[r] = pos
+				addrTrig[r] = trigger
 			}
 
-			if parts&SweepDistances != 0 {
+			if dist != nil {
 				accesses++
 				p.Total++
-				b := addr / blockSize
+				b := dist.brank[r]
 				blockCounts[b]++
-				switch d, _ := sd.Access(addr); {
-				case d >= 0:
+				seen := dist.last[b] > 0
+				if d := dist.access(b); d >= 0 {
 					p.Intra = append(p.Intra, d)
-				default:
-					if prev, ok := lastSeen[b]; ok && prev.sample != si {
-						// R3 reuse: the distance is estimated after the
-						// pass, once the blocks-per-load rate is known.
-						gaps = append(gaps, float64(trigger-prev.trigger))
-					} else {
-						p.Cold++
-					}
+					continue
 				}
-				lastSeen[b] = sighting{trigger: trigger, sample: si}
+				blocks++
+				if seen {
+					// R3 reuse: the distance is estimated after the
+					// pass, once the blocks-per-load rate is known.
+					gaps = append(gaps, float64(trigger-blockTrig[b]))
+				} else {
+					p.Cold++
+				}
+				blockTrig[b] = trigger
 			}
 		}
-		if parts&SweepDistances != 0 && hi > lo {
+		if dist != nil && hi > lo {
 			// Mean new-blocks-per-load within samples bounds how fast the
 			// stack grows during unobserved gaps.
-			bpaSum += float64(sd.Blocks()) / float64(hi-lo)
+			bpaSum += float64(blocks) / float64(hi-lo)
 			bpaN++
 		}
 	}
 
-	if parts&SweepPresence != 0 {
+	if pres != nil {
 		sw.SamplesOf, sw.RecordsOf = pres.fold(t.Procs())
 	}
 	if parts&SweepIntervals != 0 {
 		sw.Intervals = intervalBuckets(&intraB, &interB)
 	}
-	if parts&SweepDistances != 0 {
+	if dist != nil {
 		finishDistances(t, p, gaps, blockCounts, bpaSum, bpaN, accesses, st)
 		sw.Profile = p
 	}
@@ -273,7 +275,7 @@ func intervalBuckets(intraB, interB *[maxLog]int) []IntervalBucket {
 // estimates, and excess survivals are relabeled using the block
 // population (Good–Turing over the block multiset). gaps are in stream
 // order, which makes the leftover replication deterministic.
-func finishDistances(t *trace.Trace, p *ReuseProfile, gaps []float64, blockCounts map[uint64]int, bpaSum float64, bpaN, accesses int, st Stats) {
+func finishDistances(t *trace.Trace, p *ReuseProfile, gaps []float64, blockCounts []uint32, bpaSum float64, bpaN, accesses int, st Stats) {
 	if accesses == 0 {
 		return
 	}
@@ -287,6 +289,9 @@ func finishDistances(t *trace.Trace, p *ReuseProfile, gaps []float64, blockCount
 	// rate.
 	var cs CSCounts
 	for _, n := range blockCounts {
+		if n == 0 {
+			continue // a block of the index the trace never touches
+		}
 		cs.Unique++
 		if n == 1 {
 			cs.Singletons++

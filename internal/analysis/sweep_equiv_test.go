@@ -3,8 +3,10 @@ package analysis_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/analysis"
@@ -61,6 +63,24 @@ func synthTrace(samples, recs int) *trace.Trace {
 // traces rather than synthetic ones.
 func workloadTraces(t *testing.T) map[string]*trace.Trace {
 	t.Helper()
+	microOnce.Do(func() { microTraces, microErr = collectWorkloadTraces() })
+	if microErr != nil {
+		t.Fatal(microErr)
+	}
+	out := make(map[string]*trace.Trace, len(microTraces))
+	maps.Copy(out, microTraces)
+	return out
+}
+
+// The micro workload traces are collected once per test binary and
+// shared read-only.
+var (
+	microOnce   sync.Once
+	microTraces map[string]*trace.Trace
+	microErr    error
+)
+
+func collectWorkloadTraces() (map[string]*trace.Trace, error) {
 	out := map[string]*trace.Trace{}
 	for _, opt := range []micro.OptLevel{micro.O0, micro.O3} {
 		for _, spec := range micro.Suite(opt, 512, 6) {
@@ -68,12 +88,45 @@ func workloadTraces(t *testing.T) map[string]*trace.Trace {
 			cfg.Period = 700
 			r, err := core.Run(core.FuncWorkload{WName: spec.Name(), BuildFn: spec.Build}, cfg)
 			if err != nil {
-				t.Fatalf("core.Run(%s): %v", spec.Name(), err)
+				return nil, fmt.Errorf("core.Run(%s): %v", spec.Name(), err)
 			}
 			out[fmt.Sprintf("%s/%s", opt, spec.Name())] = r.Trace
 		}
 	}
-	return out
+	return out, nil
+}
+
+// TestSweepMatchesOracle pins the rank-indexed sweep to the map sweep
+// it replaced, bit for bit, for every part at block sizes 8, 64 and
+// 4096: on every micro workload trace and the synthetic shapes, and on
+// their FilterSamples and SampleSlice views, each swept on its own
+// index and on the borrowed one of the full trace.
+func TestSweepMatchesOracle(t *testing.T) {
+	traces := workloadTraces(t)
+	traces["synth/32x40"] = synthTrace(32, 40)
+	traces["synth/5x7"] = synthTrace(5, 7)
+	traces["synth/1x16"] = synthTrace(1, 16)
+	traces["synth/empty"] = &trace.Trace{Module: "empty"}
+	for name, tr := range traces {
+		t.Run(name, func(t *testing.T) {
+			ix, err := analysis.BuildAddrIndex(context.Background(), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := []*trace.Trace{tr}
+			if n := tr.NumSamples(); n > 2 {
+				views = append(views,
+					tr.FilterSamples(func(si int) bool { return si%3 != 1 }),
+					tr.SampleSlice(1, n-1))
+			}
+			for _, blockSize := range []uint64{8, 64, 4096} {
+				for _, v := range views {
+					analysis.CheckSweep(t, v, nil, blockSize)
+					analysis.CheckSweep(t, v, ix, blockSize)
+				}
+			}
+		})
+	}
 }
 
 // TestShardedEquivalence pins, for every micro workload and synthetic
@@ -95,15 +148,19 @@ func TestShardedEquivalence(t *testing.T) {
 	for name, tr := range traces {
 		t.Run(name, func(t *testing.T) {
 			st := analysis.StatsOf(tr)
+			ix, err := analysis.BuildAddrIndex(ctx, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			sw, err := analysis.NewSweep(ctx, tr, blockSize, analysis.SweepEverything, st)
+			sw, err := analysis.NewSweep(ctx, tr, ix, blockSize, analysis.SweepEverything, st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Each part's product is unchanged when computed alone and
 			// with Stats computed on demand.
 			for _, parts := range []analysis.SweepParts{analysis.SweepDistances, analysis.SweepIntervals, analysis.SweepPresence} {
-				got, err := analysis.NewSweep(ctx, tr, blockSize, parts, analysis.Stats{})
+				got, err := analysis.NewSweep(ctx, tr, nil, blockSize, parts, analysis.Stats{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,10 +178,6 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 			}
 
-			ix, err := analysis.BuildAddrIndex(ctx, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
 			diags, err := ix.FunctionDiagnostics(ctx, tr, blockSize, st)
 			if err != nil {
 				t.Fatal(err)
@@ -157,11 +210,11 @@ func TestShardedEquivalence(t *testing.T) {
 func TestSweepZeroStats(t *testing.T) {
 	tr := synthTrace(16, 24)
 	ctx := context.Background()
-	withSt, err := analysis.NewSweep(ctx, tr, 64, analysis.SweepEverything, analysis.StatsOf(tr))
+	withSt, err := analysis.NewSweep(ctx, tr, nil, 64, analysis.SweepEverything, analysis.StatsOf(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutSt, err := analysis.NewSweep(ctx, tr, 64, analysis.SweepEverything, analysis.Stats{})
+	withoutSt, err := analysis.NewSweep(ctx, tr, nil, 64, analysis.SweepEverything, analysis.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +246,7 @@ func TestConcurrentWalks(t *testing.T) {
 	tr := synthTrace(24, 32)
 	st := analysis.StatsOf(tr)
 	ctx := context.Background()
-	ref, err := analysis.NewSweep(ctx, tr, 64, analysis.SweepEverything, st)
+	ref, err := analysis.NewSweep(ctx, tr, nil, 64, analysis.SweepEverything, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +262,7 @@ func TestConcurrentWalks(t *testing.T) {
 	tasks := make([]func(context.Context) error, 12)
 	for i := range tasks {
 		tasks[i] = func(ctx context.Context) error {
-			sw, err := analysis.NewSweep(ctx, tr, 64, analysis.SweepEverything, st)
+			sw, err := analysis.NewSweep(ctx, tr, ix, 64, analysis.SweepEverything, st)
 			if err != nil {
 				return err
 			}
@@ -241,7 +294,7 @@ func TestWalkCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := analysis.NewSweep(ctx, tr, 64, analysis.SweepEverything, analysis.Stats{}); err == nil {
+	if _, err := analysis.NewSweep(ctx, tr, ix, 64, analysis.SweepEverything, analysis.Stats{}); err == nil {
 		t.Error("sweep ignored cancelled context")
 	}
 	if _, err := ix.FunctionDiagnostics(ctx, tr, 64, analysis.Stats{}); err == nil {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"math"
-	"slices"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
 	"github.com/memgaze/memgaze-go/internal/trace"
@@ -46,7 +45,7 @@ func WindowHistogram(t *trace.Trace, windows []uint64) []WindowMetrics {
 // WindowHistogramCtx is WindowHistogram with cancellation: it returns
 // ctx.Err() as soon as the context is done.
 func WindowHistogramCtx(ctx context.Context, t *trace.Trace, windows []uint64) ([]WindowMetrics, error) {
-	ch, err := BuildAddrChains(ctx, t)
+	ch, err := BuildAddrChains(ctx, t, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +109,9 @@ func isInf(f float64) bool { return f > 1e300 }
 // AddrChains is read-only once built and safe for concurrent use.
 type AddrChains struct {
 	t          *trace.Trace
+	ix         *AddrIndex
 	base       int // absolute column index of relative index 0
 	prev, next []int
-	addrs      []uint64
 	implied    []uint32
 	classes    []byte
 }
@@ -122,12 +121,15 @@ const (
 	noNext = math.MaxInt
 )
 
-// BuildAddrChains links t's records in one pass over the trace.
-func BuildAddrChains(ctx context.Context, t *trace.Trace) (*AddrChains, error) {
-	if err := ctx.Err(); err != nil {
+// BuildAddrChains links t's records in one pass over the trace,
+// keeping each address's latest record in an array indexed by its rank
+// in ix — an address index covering t, or nil to build one.
+func BuildAddrChains(ctx context.Context, t *trace.Trace, ix *AddrIndex) (*AddrChains, error) {
+	ix, err := indexFor(ctx, t, ix)
+	if err != nil {
 		return nil, err
 	}
-	ch := &AddrChains{t: t}
+	ch := &AddrChains{t: t, ix: ix}
 	ns := t.NumSamples()
 	if ns == 0 {
 		return ch, nil
@@ -135,13 +137,13 @@ func BuildAddrChains(ctx context.Context, t *trace.Trace) (*AddrChains, error) {
 	base, _ := t.SampleRange(0)
 	_, end := t.SampleRange(ns - 1)
 	ch.base = base
-	ch.addrs = t.Addrs()[base:end]
 	ch.implied = t.Implied()[base:end]
 	ch.classes = t.Classes()[base:end]
 	ch.prev = make([]int, end-base)
 	ch.next = make([]int, end-base)
-	last := make(map[uint64]int, len(ch.prev))
-	covered := 0 // relative index up to which records are accounted for
+	off := base - ix.base              // relative index to index rank slot
+	last := make([]int, len(ix.addrs)) // latest relative index + 1 per rank
+	covered := 0                       // relative index up to which records are accounted for
 	for si := 0; si < ns; si++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -152,15 +154,15 @@ func BuildAddrChains(ctx context.Context, t *trace.Trace) (*AddrChains, error) {
 			ch.prev[j] = j // not in the trace: never a first touch
 		}
 		for j := lo; j < hi; j++ {
-			a := ch.addrs[j]
+			r := ix.ranks[j+off]
 			ch.next[j] = noNext
-			if p, ok := last[a]; ok {
+			if p := last[r] - 1; p >= 0 {
 				ch.prev[j] = p
 				ch.next[p] = j
 			} else {
 				ch.prev[j] = noPrev
 			}
-			last[a] = j
+			last[r] = j + 1
 		}
 		covered = max(covered, hi)
 	}
@@ -222,15 +224,21 @@ func (ch *AddrChains) stats(lo, hi int) winStats {
 }
 
 // stridedLattice estimates the lattice population of the strided
-// first-touch addresses of [lo, hi) (0 when indeterminate).
+// first-touch addresses of [lo, hi) (0 when indeterminate). It collects
+// their ranks, which sort as the addresses do.
 func (ch *AddrChains) stridedLattice(lo, hi int) float64 {
-	var addrs []uint64
+	off := ch.base - ch.ix.base
+	var rs []uint32
 	for j := lo; j < hi; j++ {
 		if ch.prev[j] < lo && ch.classes[j] == byte(dataflow.Strided) {
-			addrs = append(addrs, ch.addrs[j])
+			rs = append(rs, ch.ix.ranks[j+off])
 		}
 	}
-	slices.Sort(addrs)
+	sortRanks(rs, nil)
+	addrs := make([]uint64, len(rs))
+	for i, r := range rs {
+		addrs[i] = ch.ix.addrs[r]
+	}
 	return LatticePopulation(addrs)
 }
 

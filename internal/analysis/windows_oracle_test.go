@@ -319,13 +319,68 @@ func kernelWindows(rng *rand.Rand, t *trace.Trace) []uint64 {
 	return ws
 }
 
+// oracleChainLinks is the map build of the chains' links: each
+// record's previous and next same-address record, by a last-seen map
+// keyed by address.
+func oracleChainLinks(t *trace.Trace) (prev, next []int) {
+	ns := t.NumSamples()
+	if ns == 0 {
+		return nil, nil
+	}
+	base, _ := t.SampleRange(0)
+	_, end := t.SampleRange(ns - 1)
+	addrs := t.Addrs()[base:end]
+	prev = make([]int, end-base)
+	next = make([]int, end-base)
+	last := map[uint64]int{}
+	covered := 0
+	for si := 0; si < ns; si++ {
+		lo, hi := t.SampleRange(si)
+		lo, hi = lo-base, hi-base
+		for j := covered; j < lo; j++ {
+			prev[j] = j
+		}
+		for j := lo; j < hi; j++ {
+			a := addrs[j]
+			next[j] = noNext
+			if p, ok := last[a]; ok {
+				prev[j] = p
+				next[p] = j
+			} else {
+				prev[j] = noPrev
+			}
+			last[a] = j
+		}
+		covered = max(covered, hi)
+	}
+	return prev, next
+}
+
 // checkWindowKernels compares the chain kernels against the oracle on
-// one trace: the global populations and every WindowMetrics field.
-func checkWindowKernels(t *testing.T, tr *trace.Trace, windows []uint64) {
+// one trace: the chains' links, the global populations and every
+// WindowMetrics field. ix, if non-nil, is a borrowed index of the trace
+// tr is a view of; the chains are checked on it and on tr's own.
+func checkWindowKernels(t *testing.T, tr *trace.Trace, ix *AddrIndex, windows []uint64) {
 	t.Helper()
-	ch, err := BuildAddrChains(context.Background(), tr)
+	ch, err := BuildAddrChains(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	prev, next := oracleChainLinks(tr)
+	if !slices.Equal(ch.prev, prev) || !slices.Equal(ch.next, next) {
+		t.Fatalf("chain links diverge from the map build:\n prev %v\nwant %v\n next %v\nwant %v", ch.prev, prev, ch.next, next)
+	}
+	if ix != nil {
+		borrowed, err := BuildAddrChains(context.Background(), tr, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(borrowed.prev, prev) || !slices.Equal(borrowed.next, next) {
+			t.Fatal("chain links on a borrowed index diverge from the map build")
+		}
+		if a, b := borrowed.Populations(), ch.Populations(); a != b {
+			t.Fatalf("populations on a borrowed index %v, want %v", a, b)
+		}
 	}
 	pop, wantPop := ch.Populations(), oracleGlobalPopulations(tr)
 	for k := range pop {
@@ -353,12 +408,16 @@ func TestWindowKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 400; i++ {
 		tr := randomKernelTrace(rng)
-		checkWindowKernels(t, tr, kernelWindows(rng, tr))
+		checkWindowKernels(t, tr, nil, kernelWindows(rng, tr))
 		if tr.NumSamples() > 2 {
+			ix, err := BuildAddrIndex(context.Background(), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
 			view := tr.FilterSamples(func(si int) bool { return si%3 != 1 })
-			checkWindowKernels(t, view, kernelWindows(rng, view))
+			checkWindowKernels(t, view, ix, kernelWindows(rng, view))
 			sub := tr.SampleSlice(1, tr.NumSamples()-1)
-			checkWindowKernels(t, sub, kernelWindows(rng, sub))
+			checkWindowKernels(t, sub, ix, kernelWindows(rng, sub))
 		}
 	}
 }
@@ -419,6 +478,6 @@ func FuzzWindowKernels(f *testing.F) {
 			windows = append(windows, uint64(b)*uint64(b)+1)
 		}
 		windows = append(windows, 1, math.MaxUint64)
-		checkWindowKernels(t, tr, windows)
+		checkWindowKernels(t, tr, nil, windows)
 	})
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"slices"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
 	"github.com/memgaze/memgaze-go/internal/trace"
@@ -30,7 +31,10 @@ func WorkingSet(t *trace.Trace, k int, pageSize uint64) []WorkingSetPoint {
 	return out
 }
 
-// WorkingSetCtx is WorkingSet with cancellation.
+// WorkingSetCtx is WorkingSet with cancellation. Each interval's pages
+// are sorted in one reused buffer and counted run by run, which needs
+// neither a map nor the address index a working-set-only request would
+// otherwise build.
 func WorkingSetCtx(ctx context.Context, t *trace.Trace, k int, pageSize uint64) ([]WorkingSetPoint, error) {
 	if pageSize == 0 {
 		pageSize = 4096
@@ -43,6 +47,7 @@ func WorkingSetCtx(ctx context.Context, t *trace.Trace, k int, pageSize uint64) 
 	}
 	rho := t.Rho()
 	addrs, impliedCol := t.Addrs(), t.Implied()
+	var pages []uint64
 	var out []WorkingSetPoint
 	for i := 0; i < k; i++ {
 		if err := ctx.Err(); err != nil {
@@ -53,35 +58,39 @@ func WorkingSetCtx(ctx context.Context, t *trace.Trace, k int, pageSize uint64) 
 		if end == start {
 			continue
 		}
-		counts := map[uint64]int{}
-		var draws, implied float64
+		var implied float64
+		pages = pages[:0]
 		for si := start; si < end; si++ {
 			lo, hi := t.SampleRange(si)
 			for j := lo; j < hi; j++ {
-				counts[addrs[j]/pageSize]++
-				draws++
+				pages = append(pages, addrs[j]/pageSize)
 				implied += float64(impliedCol[j])
 			}
 		}
-		var cs CSCounts
-		for _, n := range counts {
+		slices.Sort(pages)
+		cs := CSCounts{Draws: float64(len(pages))}
+		for a := 0; a < len(pages); {
+			b := a + 1
+			for b < len(pages) && pages[b] == pages[a] {
+				b++
+			}
 			cs.Unique++
-			if n == 1 {
+			if b-a == 1 {
 				cs.Singletons++
-			} else if n == 2 {
+			} else if b-a == 2 {
 				cs.Doubletons++
 			}
+			a = b
 		}
-		cs.Draws = draws
 		kappa := 1.0
-		if draws > 0 {
-			kappa = 1 + implied/draws
+		if cs.Draws > 0 {
+			kappa = 1 + implied/cs.Draws
 		}
-		estLoads := rho * kappa * draws
+		estLoads := rho * kappa * cs.Draws
 		est := EstimateUnique(dataflow.Irregular, cs, estLoads, cs.Unique*rho*kappa, 0)
 		out = append(out, WorkingSetPoint{
 			Interval: i, Samples: end - start,
-			PagesObs: len(counts), PagesEst: est, EstLoads: estLoads,
+			PagesObs: int(cs.Unique), PagesEst: est, EstLoads: estLoads,
 		})
 	}
 	return out, nil

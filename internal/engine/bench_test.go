@@ -30,6 +30,29 @@ func BenchmarkSuite(b *testing.B) {
 		}
 	})
 
+	// One analysis alone, each of which walks the address index for its
+	// per-address or per-page state and so pays for building it when no
+	// other analysis of the request does.
+	for _, c := range []struct {
+		name string
+		a    Analysis
+		done func(*Report) bool
+	}{
+		{"mrc", AnalyzeMRC, func(r *Report) bool { return r.MRC != nil }},
+		{"workingset", AnalyzeWorkingSet, func(r *Report) bool { return r.WorkingSet != nil }},
+		{"windows", AnalyzeWindows, func(r *Report) bool { return r.Windows != nil }},
+		{"heatmap", AnalyzeHeatmap, func(r *Report) bool { return r.Heatmap != nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := New(tr, WithCapacities(caps), WithAnalyses(c.a)).Run(context.Background())
+				if err != nil || !c.done(rep) {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			analysis.FunctionDiagnostics(tr, 64)

@@ -99,30 +99,44 @@ func (d *derived) FuncDiags(ctx context.Context) ([]*analysis.Diag, error) {
 }
 
 // Sweep returns the one stack-distance sweep shared by AnalyzeMRC,
-// AnalyzeReuseIntervals, and AnalyzeConfidence.
+// AnalyzeReuseIntervals, and AnalyzeConfidence. Its distance and
+// interval parts walk the address index's ranks.
 func (d *derived) Sweep(ctx context.Context) (*analysis.TraceSweep, error) {
 	return d.sweep.get(func() (*analysis.TraceSweep, error) {
 		st, err := d.Stats(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return analysis.NewSweep(ctx, d.t, d.opts.BlockSize, d.sweepParts, st)
+		var ix *analysis.AddrIndex
+		if d.sweepParts&(analysis.SweepDistances|analysis.SweepIntervals) != 0 {
+			if ix, err = d.Index(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return analysis.NewSweep(ctx, d.t, ix, d.opts.BlockSize, d.sweepParts, st)
 	})
 }
 
 // Chains returns the trace's same-address occurrence chains, the index
-// the trace-window histogram walks instead of per-window maps.
+// the trace-window histogram walks instead of per-window maps, linked
+// through the address index's ranks.
 func (d *derived) Chains(ctx context.Context) (*analysis.AddrChains, error) {
 	return d.chains.get(func() (*analysis.AddrChains, error) {
-		return analysis.BuildAddrChains(ctx, d.t)
+		ix, err := d.Index(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.BuildAddrChains(ctx, d.t, ix)
 	})
 }
 
-// Index returns the trace's address index: the per-record ranks every
-// Diag-kernel analysis walks (functions, lines, regions, confidence,
-// the interval tree and intervals, zoom leaves) and the sorted distinct
-// addresses the zoom recursion and per-leaf block counts read. It is
-// read-only once built, so concurrent analyses share it.
+// Index returns the trace's address index. Every Diag-kernel analysis
+// walks its per-record ranks (functions, lines, regions, confidence,
+// the interval tree and intervals, zoom leaves); the sweep, chains,
+// heatmap index their per-address state by them; and
+// the zoom recursion and per-leaf block counts read its sorted distinct
+// addresses. It is read-only once built, so concurrent analyses share
+// it.
 func (d *derived) Index(ctx context.Context) (*analysis.AddrIndex, error) {
 	return d.index.get(func() (*analysis.AddrIndex, error) {
 		return analysis.BuildAddrIndex(ctx, d.t)

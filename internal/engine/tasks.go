@@ -167,7 +167,11 @@ func (a *Analyzer) runAnalysis(ctx context.Context, kind Analysis, rep *Report) 
 			}
 			lo, hi = hot.Lo, hot.Hi
 		}
-		h, err := heatmap.BuildCtx(ctx, a.t, lo, hi, a.opts.HeatmapRows, a.opts.HeatmapCols, a.opts.BlockSize)
+		ix, err := a.d.Index(ctx)
+		if err != nil {
+			return err
+		}
+		h, err := heatmap.BuildCtx(ctx, ix, lo, hi, a.opts.HeatmapRows, a.opts.HeatmapCols, a.opts.BlockSize)
 		if err != nil {
 			return err
 		}

@@ -644,13 +644,17 @@ func warmBoot(traces int) (opStats, error) {
 }
 
 // sweep measures the stack-distance sweep (all parts, precomputed
-// Stats as the engine passes them) over a large synthetic trace, best
-// of reps — the derived layer's hot walk behind MRC, reuse intervals,
-// and confidence.
+// Stats and address index as the engine passes them) over a large
+// synthetic trace, best of reps — the derived layer's hot walk behind
+// MRC, reuse intervals, and confidence.
 func sweep(tr *trace.Trace, reps int) (opStats, error) {
 	st := analysis.StatsOf(tr)
+	ix, err := analysis.BuildAddrIndex(context.Background(), tr)
+	if err != nil {
+		return opStats{}, err
+	}
 	return bestOf(reps, func() error {
-		_, err := analysis.NewSweep(context.Background(), tr, 64, analysis.SweepEverything, st)
+		_, err := analysis.NewSweep(context.Background(), tr, ix, 64, analysis.SweepEverything, st)
 		return err
 	})
 }

@@ -30,12 +30,16 @@ type Heatmap struct {
 // computed intra-sample over the region-restricted access stream, the
 // same convention as the location diagnostics.
 func Build(t *trace.Trace, lo, hi uint64, rows, cols int, blockSize uint64) *Heatmap {
-	h, _ := BuildCtx(context.Background(), t, lo, hi, rows, cols, blockSize)
+	ix, _ := analysis.BuildAddrIndex(context.Background(), t)
+	h, _ := BuildCtx(context.Background(), ix, lo, hi, rows, cols, blockSize)
 	return h
 }
 
-// BuildCtx is Build with cancellation.
-func BuildCtx(ctx context.Context, t *trace.Trace, lo, hi uint64, rows, cols int, blockSize uint64) (*Heatmap, error) {
+// BuildCtx is Build over the indexed trace's address index, with
+// cancellation. The region is a rank range of the index, so a record
+// is in it when its rank is, and its reuse distance comes from a
+// ReuseTracker over the region's ranks, one run per sample.
+func BuildCtx(ctx context.Context, ix *analysis.AddrIndex, lo, hi uint64, rows, cols int, blockSize uint64) (*Heatmap, error) {
 	if rows <= 0 {
 		rows = 32
 	}
@@ -46,29 +50,32 @@ func BuildCtx(ctx context.Context, t *trace.Trace, lo, hi uint64, rows, cols int
 	h.Access = mat(rows, cols)
 	h.Dist = mat(rows, cols)
 	h.distSumCnt = imat(rows, cols)
+	t := ix.Trace()
 	if hi <= lo || t.NumSamples() == 0 {
 		return h, nil
 	}
 	span := hi - lo
 	addrs := t.Addrs()
-	dist := analysis.NewStackDist(blockSize)
+	rlo, rhi := ix.RankRange(lo, hi)
+	dist := ix.ReuseTracker(rlo, rhi, blockSize)
 	for si := 0; si < t.NumSamples(); si++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rlo, rhi := t.SampleRange(si)
+		jlo, jhi := t.SampleRange(si)
 		c := si * cols / t.NumSamples()
-		dist.Reset()
-		for _, addr := range addrs[rlo:rhi] {
-			if addr < lo || addr >= hi {
+		dist.StartRun(jhi - jlo)
+		for j := jlo; j < jhi; j++ {
+			rk := ix.Rank(j)
+			if rk < rlo || rk >= rhi {
 				continue
 			}
-			r := int((addr - lo) * uint64(rows) / span)
+			r := int((addrs[j] - lo) * uint64(rows) / span)
 			if r >= rows {
 				r = rows - 1
 			}
 			h.Access[r][c]++
-			if d, _ := dist.Access(addr); d >= 0 {
+			if d := dist.Access(rk); d >= 0 {
 				h.Dist[r][c] += float64(d)
 				h.distSumCnt[r][c]++
 			}

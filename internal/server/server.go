@@ -556,7 +556,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case ContentTypeTrace, "application/octet-stream", "":
-		tr, err = trace.Decode(body)
+		tr, err = trace.DecodeBounded(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, ErrCodeInvalidTrace, "trace: %v", err)
 			return
@@ -698,7 +698,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		)
 		ds = &dsv
 	case ContentTypeTrace, "application/octet-stream", "":
-		tr, err = trace.Read(body)
+		tr, err = trace.ReadBounded(body)
 	default:
 		writeError(w, http.StatusUnsupportedMediaType, ErrCodeUnsupportedMediaType, "unsupported content type %q", ctype)
 		return

@@ -23,6 +23,7 @@ import (
 	"github.com/memgaze/memgaze-go/internal/instrument"
 	"github.com/memgaze/memgaze-go/internal/pt"
 	"github.com/memgaze/memgaze-go/internal/trace"
+	"github.com/memgaze/memgaze-go/internal/trace/tracetest"
 )
 
 // testTrace synthesizes a deterministic sampled trace with several
@@ -646,6 +647,89 @@ func TestUploadLocationHeader(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Location") != want {
 		t.Fatalf("streamed upload = %d Location %q", resp.StatusCode, resp.Header.Get("Location"))
+	}
+}
+
+// TestUploadExpansionBombRejected pins the decoder's expansion bound at
+// the service: a body of a few dozen bytes whose eight RLE columns each
+// claim 2^22 or 2^31 records, or 2^32 behind a 4 MiB module name,
+// answers 400 invalid_trace, buffered and streamed, instead of
+// materializing gigabytes of columns.
+func TestUploadExpansionBombRejected(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, c := range []struct {
+		records uint64
+		pad     int
+	}{{1 << 22, 0}, {1 << 31, 0}, {1 << 32, 4 << 20}} {
+		bomb := tracetest.RLEBomb(c.records, c.pad)
+		for _, up := range []struct{ method, path string }{
+			{"POST", "/v1/traces"},
+			{"PUT", "/v1/traces:stream"},
+		} {
+			req, err := http.NewRequest(up.method, hs.URL+up.path, bytes.NewReader(bomb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", ContentTypeTrace)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s, %d records in %d bytes: status %d, want 400: %s",
+					up.method, up.path, c.records, len(bomb), resp.StatusCode, body)
+			}
+			if code := errCode(t, body); code != ErrCodeInvalidTrace {
+				t.Errorf("%s %s: code %q, want %q", up.method, up.path, code, ErrCodeInvalidTrace)
+			}
+		}
+	}
+}
+
+// TestUploadCompressibleAccepted pins that the upload bound and the
+// writer agree: a trace of one strided load, each column of which
+// compresses to a few bytes per sample, uploads buffered and streamed.
+func TestUploadCompressibleAccepted(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	tr := &trace.Trace{Module: "strided", Mode: "sampled", Period: 10_000}
+	for s := 0; s < 4; s++ {
+		smp := &trace.Sample{Seq: s, TriggerLoads: uint64(s+1) * 10_000}
+		for i := 0; i < 4000; i++ {
+			smp.Records = append(smp.Records, trace.Record{
+				IP: 0x401000, Addr: 0x20000000 + uint64(s*4000+i)*8, TS: uint64(s*4000 + i),
+				Class: dataflow.Strided, Stride: 8, Line: 12, Proc: "loop",
+			})
+		}
+		tr.AppendSample(smp)
+	}
+	enc, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []struct {
+		method, path string
+		want         int
+	}{
+		{"POST", "/v1/traces", http.StatusCreated},
+		{"PUT", "/v1/traces:stream", http.StatusOK},
+	} {
+		req, err := http.NewRequest(up.method, hs.URL+up.path, bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ContentTypeTrace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != up.want {
+			t.Fatalf("%s %s of %d records in %d bytes: status %d, want %d: %s",
+				up.method, up.path, tr.NumRecords(), len(enc), resp.StatusCode, up.want, body)
+		}
 	}
 }
 

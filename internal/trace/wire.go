@@ -23,7 +23,10 @@ package trace
 // constant columns (classes in a single-class trace, proc ids inside
 // one function, zero strides) collapse to a few bytes — the paper's
 // §III-B observation that Strided and Constant loads compress, applied
-// to storage. Column values are transformed before encoding:
+// to storage. A run is cut into several pairs where one pair would
+// expand past maxExpansion values per column byte read, so every
+// encoding passes DecodeBounded. Column values are transformed before
+// encoding:
 //
 //	addrs, ips : per-sample base, zigzag delta (resets each sample)
 //	ts         : per-sample delta
@@ -47,8 +50,6 @@ import (
 	"hash"
 	"io"
 	"math/bits"
-
-	"github.com/memgaze/memgaze-go/internal/dataflow"
 )
 
 const fileVersion = 3
@@ -57,19 +58,6 @@ const fileVersion = 3
 // format, so a corrupt or hostile length prefix cannot force a huge
 // allocation before the read fails.
 const maxSection = 1 << 30
-
-// maxPrealloc bounds slice capacity reserved from a count read out of
-// the header. Counts above it are still honoured — the slices grow by
-// append, so an inflated count fails with io.EOF once the input runs
-// out instead of OOMing up front.
-const maxPrealloc = 1 << 16
-
-// maxRecords bounds the total record count a v3 sample index may
-// claim. A tiny hostile body declaring 2^35 records fails here — a
-// decode error the server maps to 400 invalid_trace — instead of
-// driving column decoding toward enormous allocations. Legitimate
-// traces sit many orders of magnitude below the cap.
-const maxRecords = 1 << 32
 
 const (
 	colRaw = 0 // one uvarint per record
@@ -132,9 +120,11 @@ func (t *Trace) Write(w io.Writer) error {
 		total += s.Hi - s.Lo
 	}
 
-	// Columns. One scratch buffer holds each column's transformed
+	// Columns. budget follows what a bounded decoder sees of them. One
+	// scratch buffer holds each column's transformed
 	// values in turn; fill walks samples so views (absolute, possibly
 	// non-dense ranges) serialise exactly like owned traces.
+	var budget colBudget
 	scratch := make([]uint64, total)
 	fill := func(f func(dst []uint64, lo, hi int) int) {
 		n := 0
@@ -152,7 +142,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		var prev uint64
@@ -162,7 +152,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		var prev uint64
@@ -172,7 +162,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		for i := lo; i < hi; i++ {
@@ -180,7 +170,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		for i := lo; i < hi; i++ {
@@ -188,7 +178,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		for i := lo; i < hi; i++ {
@@ -196,7 +186,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		for i := lo; i < hi; i++ {
@@ -204,7 +194,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	fill(func(dst []uint64, lo, hi int) int {
 		for i := lo; i < hi; i++ {
@@ -212,7 +202,7 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 		return hi - lo
 	})
-	writeColumn(bw, writeU, scratch)
+	writeColumn(bw, writeU, scratch, &budget)
 
 	return bw.Flush()
 }
@@ -223,364 +213,97 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // writeColumn emits one column: whichever of raw-varint or RLE encodes
 // vals in fewer bytes. The choice is deterministic (strictly-smaller
 // wins for RLE) so identical values always produce identical bytes.
-func writeColumn(bw *bufio.Writer, writeU func(uint64), vals []uint64) {
-	rawSize, rleSize := 0, 0
+// RLE pairs are cut by b.pair, so the column never takes b past what
+// DecodeBounded accepts.
+func writeColumn(bw *bufio.Writer, writeU func(uint64), vals []uint64, b *colBudget) {
+	b.bytes++ // the tag
+	rawSize, rleSize, cut := 0, 0, false
 	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j] == vals[i] {
-			j++
-		}
+		j := runEnd(vals, i)
 		rawSize += uvarintLen(vals[i]) * (j - i)
 		rleSize += uvarintLen(vals[i]) + uvarintLen(uint64(j-i))
+		// A pair of at least two bytes carries 2·maxExpansion values
+		// within the bound whatever came before, so only a longer run
+		// can cross it.
+		if j-i > 2*maxExpansion && b.values+uint64(j) > maxExpansion*(b.bytes+uint64(rleSize)) {
+			cut = true
+		}
 		i = j
 	}
-	if rleSize < rawSize {
-		bw.WriteByte(colRLE)
-		for i := 0; i < len(vals); {
-			j := i + 1
-			for j < len(vals) && vals[j] == vals[i] {
-				j++
+	if !cut {
+		if rleSize < rawSize {
+			bw.WriteByte(colRLE)
+			for i := 0; i < len(vals); {
+				j := runEnd(vals, i)
+				writeU(vals[i])
+				writeU(uint64(j - i))
+				i = j
 			}
-			writeU(vals[i])
-			writeU(uint64(j - i))
-			i = j
+			b.bytes += uint64(rleSize)
+			b.values += uint64(len(vals))
+			return
 		}
+	} else if rle := b.cutRuns(vals, nil); rle.bytes-b.bytes < uint64(rawSize) {
+		bw.WriteByte(colRLE)
+		*b = b.cutRuns(vals, writeU)
 		return
 	}
 	bw.WriteByte(colRaw)
 	for _, v := range vals {
 		writeU(v)
 	}
+	b.bytes += uint64(rawSize)
+	b.values += uint64(len(vals))
 }
 
-// Read deserialises a trace in any MGTR version (v1–v3).
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, err
-	}
-	if string(magic[:]) != "MGTR" {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	readU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readStr := func() (string, error) {
-		n, err := readU()
-		if err != nil {
-			return "", err
+// cutRuns returns b past the RLE pairs of vals, each run cut by pair,
+// and writes the pairs through writeU if it is non-nil.
+func (b colBudget) cutRuns(vals []uint64, writeU func(uint64)) colBudget {
+	for i := 0; i < len(vals); {
+		j := runEnd(vals, i)
+		for left := uint64(j - i); left > 0; {
+			k := b.pair(vals[i], left)
+			if writeU != nil {
+				writeU(vals[i])
+				writeU(k)
+			}
+			left -= k
 		}
-		if n > maxSection {
-			return "", fmt.Errorf("trace: string of %d bytes exceeds limit", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+		i = j
 	}
-	ver, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	if ver < 1 || ver > fileVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
-	}
-	t := &Trace{}
-	if t.Module, err = readStr(); err != nil {
-		return nil, err
-	}
-	if t.Mode, err = readStr(); err != nil {
-		return nil, err
-	}
-	gets := []*uint64{&t.Period, nil, &t.TotalLoads, &t.Bytes, &t.DroppedEvents, &t.RecordedEvents}
-	if ver >= 2 {
-		gets = append(gets, &t.LostBytes)
-	}
-	for i, p := range gets {
-		v, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		if i == 1 {
-			t.BufBytes = int(v)
-		} else {
-			*p = v
-		}
-	}
-	nstr, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	strs := make([]string, 0, min(nstr, maxPrealloc))
-	for i := uint64(0); i < nstr; i++ {
-		s, err := readStr()
-		if err != nil {
-			return nil, err
-		}
-		strs = append(strs, s)
-	}
-	if ver >= 3 {
-		err = readV3Body(t, br, readU, strs)
-	} else {
-		err = readLegacyBody(t, readU, strs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return b
 }
 
-// readV3Body reads the columnar sample index and columns.
-func readV3Body(t *Trace, br *bufio.Reader, readU func() (uint64, error), strs []string) error {
-	nsmp, err := readU()
-	if err != nil {
-		return err
+// runEnd returns the end of the run of equal values starting at i.
+func runEnd(vals []uint64, i int) int {
+	j := i + 1
+	for j < len(vals) && vals[j] == vals[i] {
+		j++
 	}
-	t.samples = make([]SampleInfo, 0, min(nsmp, maxPrealloc))
-	var total uint64
-	for si := uint64(0); si < nsmp; si++ {
-		seq, err := readU()
-		if err != nil {
-			return err
-		}
-		cpu, err := readU()
-		if err != nil {
-			return err
-		}
-		trg, err := readU()
-		if err != nil {
-			return err
-		}
-		nrec, err := readU()
-		if err != nil {
-			return err
-		}
-		total += nrec
-		if total > maxRecords {
-			return fmt.Errorf("trace: implausible record count %d", total)
-		}
-		t.samples = append(t.samples, SampleInfo{Seq: int(seq), CPU: int(cpu),
-			TriggerLoads: trg, Lo: int(total - nrec), Hi: int(total)})
-	}
-	n := int(total)
-
-	// Each column grows by append with capped preallocation, so a
-	// claimed-but-truncated count fails cheaply at EOF. RLE run
-	// lengths are validated against the remaining column capacity.
-	readCol := func(push func(v uint64)) error {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return err
-		}
-		switch tag {
-		case colRaw:
-			for i := 0; i < n; i++ {
-				v, err := readU()
-				if err != nil {
-					return err
-				}
-				push(v)
-			}
-		case colRLE:
-			for left := n; left > 0; {
-				v, err := readU()
-				if err != nil {
-					return err
-				}
-				run, err := readU()
-				if err != nil {
-					return err
-				}
-				if run == 0 || run > uint64(left) {
-					return fmt.Errorf("trace: bad run length %d (%d records left)", run, left)
-				}
-				for i := uint64(0); i < run; i++ {
-					push(v)
-				}
-				left -= int(run)
-			}
-		default:
-			return fmt.Errorf("trace: bad column tag %d", tag)
-		}
-		return nil
-	}
-	capN := min(n, maxPrealloc)
-
-	t.addrs = make([]uint64, 0, capN)
-	if err := readCol(func(v uint64) { t.addrs = append(t.addrs, v) }); err != nil {
-		return err
-	}
-	for i := range t.samples {
-		s := &t.samples[i]
-		var prev uint64
-		for j := s.Lo; j < s.Hi; j++ {
-			prev += uint64(unzigzag(t.addrs[j]))
-			t.addrs[j] = prev
-		}
-	}
-
-	t.ips = make([]uint64, 0, capN)
-	if err := readCol(func(v uint64) { t.ips = append(t.ips, v) }); err != nil {
-		return err
-	}
-	for i := range t.samples {
-		s := &t.samples[i]
-		var prev uint64
-		for j := s.Lo; j < s.Hi; j++ {
-			prev += uint64(unzigzag(t.ips[j]))
-			t.ips[j] = prev
-		}
-	}
-
-	t.ts = make([]uint64, 0, capN)
-	if err := readCol(func(v uint64) { t.ts = append(t.ts, v) }); err != nil {
-		return err
-	}
-	for i := range t.samples {
-		s := &t.samples[i]
-		var prev uint64
-		for j := s.Lo; j < s.Hi; j++ {
-			prev += t.ts[j]
-			t.ts[j] = prev
-		}
-	}
-
-	t.classes = make([]byte, 0, capN)
-	badClass := uint64(0)
-	if err := readCol(func(v uint64) {
-		if v > uint64(dataflow.Irregular) {
-			badClass = v
-		}
-		t.classes = append(t.classes, byte(v))
-	}); err != nil {
-		return err
-	}
-	if badClass != 0 {
-		return badClassErr(badClass)
-	}
-	t.implied = make([]uint32, 0, capN)
-	if err := readCol(func(v uint64) { t.implied = append(t.implied, uint32(v)) }); err != nil {
-		return err
-	}
-	t.strides = make([]int32, 0, capN)
-	if err := readCol(func(v uint64) { t.strides = append(t.strides, int32(unzigzag(v))) }); err != nil {
-		return err
-	}
-	t.lines = make([]int32, 0, capN)
-	if err := readCol(func(v uint64) { t.lines = append(t.lines, int32(unzigzag(v))) }); err != nil {
-		return err
-	}
-	t.procIDs = make([]uint32, 0, capN)
-	if err := readCol(func(v uint64) { t.procIDs = append(t.procIDs, uint32(v)) }); err != nil {
-		return err
-	}
-	for _, id := range t.procIDs {
-		if uint64(id) >= uint64(len(strs)) {
-			return fmt.Errorf("trace: bad string index %d", id)
-		}
-	}
-	if len(strs) > 0 {
-		t.procs = strs
-		t.procIdx = make(map[string]uint32, len(strs))
-		for i, s := range strs {
-			t.procIdx[s] = uint32(i)
-		}
-	}
-	return nil
+	return j
 }
 
-// readLegacyBody reads the row-oriented v1/v2 sample section into the
-// columnar arena.
-func readLegacyBody(t *Trace, readU func() (uint64, error), strs []string) error {
-	nstr := uint64(len(strs))
-	// Lazy remap from file string index to interned proc id preserves
-	// first-use order — the determinism contract — even if the file's
-	// table holds unused entries.
-	remap := make([]int64, len(strs))
-	for i := range remap {
-		remap[i] = -1
+// colBudget is what a bounded decoder has read of the v3 columns so
+// far: their bytes and the values they expand to.
+type colBudget struct{ bytes, values uint64 }
+
+// pair returns how many of n copies of v the next RLE pair carries —
+// all n unless that would take the values past maxExpansion per column
+// byte, the most that stays within it if so — and advances b past the
+// pair. Values never exceed maxExpansion per byte of b, so a pair can
+// always carry at least maxExpansion × 2 values: cutting a run costs
+// one pair per that many values.
+func (b *colBudget) pair(v, n uint64) uint64 {
+	for {
+		size := uint64(uvarintLen(v) + uvarintLen(n))
+		if limit := maxExpansion * (b.bytes + size); b.values+n > limit {
+			n = limit - b.values
+			continue
+		}
+		b.bytes += size
+		b.values += n
+		return n
 	}
-	nsmp, err := readU()
-	if err != nil {
-		return err
-	}
-	t.samples = make([]SampleInfo, 0, min(nsmp, maxPrealloc))
-	for si := uint64(0); si < nsmp; si++ {
-		seq, err := readU()
-		if err != nil {
-			return err
-		}
-		cpu, err := readU()
-		if err != nil {
-			return err
-		}
-		trg, err := readU()
-		if err != nil {
-			return err
-		}
-		nrec, err := readU()
-		if err != nil {
-			return err
-		}
-		t.AddSample(int(seq), int(cpu), trg)
-		var lastIP, lastAddr, lastTS uint64
-		for ri := uint64(0); ri < nrec; ri++ {
-			dip, err := readU()
-			if err != nil {
-				return err
-			}
-			daddr, err := readU()
-			if err != nil {
-				return err
-			}
-			dts, err := readU()
-			if err != nil {
-				return err
-			}
-			cls, err := readU()
-			if err != nil {
-				return err
-			}
-			imp, err := readU()
-			if err != nil {
-				return err
-			}
-			stride, err := readU()
-			if err != nil {
-				return err
-			}
-			line, err := readU()
-			if err != nil {
-				return err
-			}
-			sidx, err := readU()
-			if err != nil {
-				return err
-			}
-			if sidx >= nstr {
-				return fmt.Errorf("trace: bad string index %d", sidx)
-			}
-			if cls > uint64(dataflow.Irregular) {
-				return badClassErr(cls)
-			}
-			lastIP += uint64(unzigzag(dip))
-			lastAddr += uint64(unzigzag(daddr))
-			lastTS += dts
-			if remap[sidx] < 0 {
-				remap[sidx] = int64(t.intern(strs[sidx]))
-			}
-			t.addrs = append(t.addrs, lastAddr)
-			t.ips = append(t.ips, lastIP)
-			t.ts = append(t.ts, lastTS)
-			t.classes = append(t.classes, byte(cls))
-			t.implied = append(t.implied, uint32(imp))
-			t.strides = append(t.strides, int32(unzigzag(stride)))
-			t.lines = append(t.lines, int32(unzigzag(line)))
-			t.procIDs = append(t.procIDs, uint32(remap[sidx]))
-		}
-		t.samples[len(t.samples)-1].Hi = len(t.addrs)
-	}
-	return nil
 }
 
 // WriteLegacy serialises the trace in the row-oriented MGTR v1 or v2
@@ -669,12 +392,6 @@ func (t *Trace) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Decode deserialises a trace from its MGTR binary form, as produced by
-// Encode or Write (any version).
-func Decode(b []byte) (*Trace, error) {
-	return Read(bytes.NewReader(b))
 }
 
 // Hash returns the trace's content hash: the hex SHA-256 of its MGTR

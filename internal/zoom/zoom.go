@@ -103,8 +103,8 @@ func Build(t *trace.Trace, cfg Config) *Node {
 // The recursion walks the index's distinct addresses and their record
 // counts, so it sorts nothing. The leaves' diagnostics come from the
 // index's Diag kernel (analysis.AddrIndex.RegionDiagnostics), and their
-// code attribution counts records per (procedure, line) key, rendering
-// each name once per leaf.
+// code attribution from record counts per leaf and (procedure, line)
+// (analysis.AddrIndex.RegionCodes), rendering each name once.
 func BuildCtx(ctx context.Context, ix *analysis.AddrIndex, cfg Config) (*Node, error) {
 	cfg.fill()
 	addrs, counts := ix.Addrs(), ix.Counts()
@@ -214,35 +214,26 @@ func fillLeafDiags(ctx context.Context, root *Node, ix *analysis.AddrIndex, cfg 
 	if err != nil {
 		return err
 	}
-	// A record's leaf is a property of its address, resolved once per
-	// distinct address as RegionDiagnostics resolves it.
-	leafOf := ix.RegionOf(regions)
-	// Count records per (procedure id, line) key, then render names.
-	byKey := make([]map[uint64]int, len(leaves))
-	for i := range byKey {
-		byKey[i] = make(map[uint64]int)
-	}
-	procIDs, lines := t.ProcIDs(), t.Lines()
-	for si := 0; si < t.NumSamples(); si++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rlo, rhi := t.SampleRange(si)
-		for j := rlo; j < rhi; j++ {
-			if l := leafOf[ix.Rank(j)]; l >= 0 {
-				byKey[l][uint64(procIDs[j])<<32|uint64(uint32(lines[j]))]++
-			}
-		}
+	codes, err := ix.RegionCodes(ctx, t, regions)
+	if err != nil {
+		return err
 	}
 	for i, lf := range leaves {
 		lf.Diag = diags[i]
 		lf.Funcs = make(map[string]int)
-		lf.Lines = make(map[string]int, len(byKey[i]))
-		for key, c := range byKey[i] {
-			proc := t.ProcName(uint32(key >> 32))
-			lf.Funcs[proc] += c
-			lf.Lines[proc+":"+strconv.Itoa(int(int32(uint32(key))))] += c
+		lf.Lines = make(map[string]int)
+	}
+	// The counts come grouped by (procedure, line), so each name is
+	// rendered once.
+	var proc, line string
+	for i, c := range codes {
+		if i == 0 || c.Proc != codes[i-1].Proc || c.Line != codes[i-1].Line {
+			proc = t.ProcName(c.Proc)
+			line = proc + ":" + strconv.Itoa(int(c.Line))
 		}
+		lf := leaves[c.Region]
+		lf.Funcs[proc] += c.Count
+		lf.Lines[line] += c.Count
 	}
 	return nil
 }

@@ -78,6 +78,8 @@ run "fuzz smoke (FuzzWindowKernels)" \
     go test -run '^FuzzWindowKernels$' -fuzz '^FuzzWindowKernels$' -fuzztime 10s ./internal/analysis/
 run "fuzz smoke (FuzzDiagKernel)" \
     go test -run '^FuzzDiagKernel$' -fuzz '^FuzzDiagKernel$' -fuzztime 10s ./internal/analysis/
+run "fuzz smoke (FuzzSweep)" \
+    go test -run '^FuzzSweep$' -fuzz '^FuzzSweep$' -fuzztime 10s ./internal/analysis/
 
 # Scratch space for the stages below, removed on exit.
 work=$(mktemp -d)
